@@ -1,6 +1,7 @@
 // Sharded-engine benchmark: one large community-keyed run through the
-// monolithic engine, the sharded serial merge, and the parallel lookahead
-// windows, with an in-binary sequential cross-check.
+// unsharded one-key plan ("monolithic": every event on the root key, one
+// queue), the sharded serial merge, and the parallel lookahead windows,
+// with an in-binary sequential cross-check.
 //
 // The workload is synthetic but shaped like a protocol run at figure-16
 // scale: 100k nodes spread over 128 interest communities, each node
@@ -99,10 +100,15 @@ struct RunResult {
 // The chunk-chain workload. Every callback runs under its community's
 // owner key: local follow-ups inherit the key via schedule(), cross-
 // community gossip goes through scheduleForKey at >= the lookahead floor.
+// On the one-key plan every post goes to the root key instead; the
+// community index still selects the state the event touches.
 class Workload {
  public:
   Workload(sim::Simulator& sim, const BenchConfig& config)
-      : sim_(sim), config_(config), state_(config.communities + 1) {
+      : sim_(sim),
+        config_(config),
+        keyed_(sim.shardPlan().keyCount > 1),
+        state_(config.communities + 1) {
     for (std::uint32_t key = 1; key <= config_.communities; ++key) {
       state_[key].rng = Rng(config_.seed * 1000003ULL + key);
     }
@@ -117,7 +123,7 @@ class Workload {
       const SimTime start =
           config_.lookahead +
           static_cast<SimTime>(node / config_.communities) * sim::kMillisecond;
-      sim_.scheduleForKey(key, start, [this, key] {
+      sim_.scheduleForKey(ownerKey(key), start, [this, key] {
         chunk(key, config_.chunksPerSession);
       });
     }
@@ -148,7 +154,8 @@ class Workload {
           1 + (draw >> 16) % config_.communities);
       const SimTime delay =
           config_.lookahead + static_cast<SimTime>((draw >> 40) & 0x3ff);
-      sim_.scheduleForKey(other, delay, [this, other] { gossip(other); });
+      sim_.scheduleForKey(ownerKey(other), delay,
+                          [this, other] { gossip(other); });
     }
   }
 
@@ -157,8 +164,13 @@ class Workload {
     community.gossipSum += fnvMix(kFnvOffset, sim_.now() ^ 0x9e37);
   }
 
+  [[nodiscard]] std::uint32_t ownerKey(std::uint32_t community) const {
+    return keyed_ ? community : 0;
+  }
+
   sim::Simulator& sim_;
   const BenchConfig& config_;
+  bool keyed_;  // false on the one-key plan
   std::vector<CommunityState> state_;
 };
 

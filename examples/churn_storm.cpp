@@ -27,7 +27,8 @@
 // e.g. "on" or "floor_kbps=200,queue=32,breaker=3").
 // --shards N runs both scenarios on the community-sharded engine
 // (src/sim/shard.h grammar: a power of two up to 256); results are
-// bitwise-identical to the default monolithic engine at any shard count.
+// bitwise-identical at any shard count, but not to an unsharded run, so
+// compare fingerprints only within one --shards setting.
 //
 // Malformed specs and unknown flags fail fast with exit code 2, printing the
 // offending token and the accepted grammar.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the unit-label tests with structured tracing compiled IN and
-# OUT, then once more under the combined ASan+UBSan sanitizers, and finally
-# under TSan. All four modes must stay green: ST_TRACE=OFF proves every
+# OUT, build the end-to-end benchmark, then run the tests once more under the
+# combined ASan+UBSan sanitizers, and finally under TSan. All four modes must stay green: ST_TRACE=OFF proves every
 # ST_TRACE() call site compiles away cleanly (no stray side effects in macro
 # arguments), the trace tests themselves flip behavior on ST_TRACE_ENABLED,
 # the ASan+UBSan pass guards the hand-rolled lifetime management in the
@@ -20,8 +20,8 @@
 #   scripts/check.sh . 8        # everything, 8 jobs
 #
 # Sibling of scripts/sanitize.sh; each mode gets its own build tree
-# (build-trace-on/, build-trace-off/, build-asan-ubsan/) so toggling
-# options never reuses stale objects.
+# (build-trace-on/, build-trace-off/, build-e2e/, build-asan-ubsan/) so
+# toggling options never reuses stale objects.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # shellcheck source=scripts/labels.sh
@@ -60,6 +60,13 @@ build-trace-on/bench/flow_bench /dev/null --smoke
 echo "=== shard_bench --smoke (build-trace-on) ==="
 cmake --build build-trace-on -j "$JOBS" --target shard_bench
 build-trace-on/bench/shard_bench /dev/null --smoke
+
+# Build the end-to-end benchmark (e2ebench/, its own CMake project over
+# ../src) out of tree. The root build never compiles it, so this is the
+# gate that catches a src/ API change breaking the benchmark.
+echo "=== e2ebench build (build-e2e) ==="
+cmake -B build-e2e -S e2ebench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-e2e -j "$JOBS"
 
 # Seed-sweep chaos soak (scripts/soak.sh): ST_SOAK_SEEDS seeds × fault
 # matrix × trace ON/OFF over churn_storm. Minutes of runtime, so it is

@@ -126,20 +126,44 @@ void NetTubeSystem::discard(const sim::EventTag& tag) {
   }
 }
 
-void NetTubeSystem::onRestored(const sim::EventTag& tag,
+bool NetTubeSystem::onRestored(const sim::EventTag& tag,
                                sim::EventHandle handle) {
+  const auto user = [this](std::uint64_t word) {
+    return ctx_.validUser(lo32(word));
+  };
+  const auto video = [this](std::uint64_t word) {
+    return ctx_.validVideo(lo32(word));
+  };
+  if (!ctx_.validStage(tag)) return false;
   switch (tag.kind) {
     case kProbeEvent:
-      probeTimer_[UserId{lo32(tag.a)}.index()] = handle;
-      break;
+      if (!user(tag.a)) return false;
+      probeTimer_[lo32(tag.a)] = handle;
+      return true;
     case kAskDirectory: {
       Search* search = searches_.find(tag.a);
-      assert(search != nullptr && "deadline for a search not in the pool");
+      if (search == nullptr) return false;
       search->deadline = handle;
-      break;
+      return true;
     }
+    case kDropLinksEvent:
+      return user(tag.a32) && user(tag.a);
+    case kInventoryAtServer:
+      return user(tag.a);
+    case kFloodHop:
+      return user(tag.a32) && user(tag.a) && video(tag.b);
+    case kSearchHit:
+      return user(tag.b);
+    case kDirectoryAtServer:
+    case kServerWatch:
+    case kCachedAtServer:
+      return user(tag.a) && video(tag.b);
+    case kDirectoryReply:
+      return user(tag.a32);
+    case kCachedReply:
+      return user(tag.a32) && video(tag.a);
     default:
-      break;
+      return false;
   }
 }
 

@@ -49,7 +49,8 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
   void discard(const sim::EventTag& tag) override;
-  void onRestored(const sim::EventTag& tag, sim::EventHandle handle) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   [[nodiscard]] std::string_view name() const override { return "NetTube"; }
 

@@ -55,6 +55,20 @@ void PaVodSystem::discard(const sim::EventTag& tag) {
   if (tag.kind == kWatchersReply) ctx_.freePayloadIfLive(tag.b);
 }
 
+bool PaVodSystem::onRestored(const sim::EventTag& tag, sim::EventHandle) {
+  if (!ctx_.validStage(tag)) return false;
+  switch (tag.kind) {
+    case kWatchersAtServer:
+    case kProviderRegister:
+      return ctx_.validUser(lo32(tag.a)) && ctx_.validVideo(lo32(tag.b));
+    case kWatchersReply:
+      return ctx_.validUser(tag.a32) && ctx_.validVideo(lo32(tag.a)) &&
+             (!UserId{lo32(tag.c)}.valid() || ctx_.validUser(lo32(tag.c)));
+    default:
+      return false;
+  }
+}
+
 vod::VodSystem::NodeStats PaVodSystem::nodeStats(UserId user) const {
   // PA-VoD maintains no overlay; the only "link" is an active peer download.
   return {.links = peerProvider_[user.index()] != 0 ? std::size_t{1}

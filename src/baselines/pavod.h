@@ -32,6 +32,8 @@ class PaVodSystem final : public vod::VodSystem, public sim::EventFactory {
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
   void discard(const sim::EventTag& tag) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   [[nodiscard]] std::string_view name() const override { return "PA-VoD"; }
 

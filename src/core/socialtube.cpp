@@ -202,22 +202,58 @@ void SocialTubeSystem::discard(const sim::EventTag& tag) {
   }
 }
 
-void SocialTubeSystem::onRestored(const sim::EventTag& tag,
+bool SocialTubeSystem::onRestored(const sim::EventTag& tag,
                                   sim::EventHandle handle) {
+  const auto user = [this](std::uint64_t word) {
+    return ctx_.validUser(lo32(word));
+  };
+  const auto video = [this](std::uint64_t word) {
+    return ctx_.validVideo(lo32(word));
+  };
+  const auto channel = [this](std::uint64_t word) {
+    return ctx_.validChannel(lo32(word));
+  };
+  // Packed category halves may carry "no category" (CategoryId::invalid()).
+  const auto category = [this](std::uint64_t word) {
+    return hi32(word) == CategoryId::invalid().value() ||
+           ctx_.validCategory(hi32(word));
+  };
+  if (!ctx_.validStage(tag)) return false;
   switch (tag.kind) {
     case kProbeEvent:
+      if (!user(tag.a)) return false;
       store_.probeTimer(UserId{lo32(tag.a)}) = handle;
-      break;
+      return true;
     case kEnterCategory:
     case kFallbackEvent:
     case kRetryEvent: {
       Search* search = searches_.find(tag.a);
-      assert(search != nullptr && "deadline for a search not in the pool");
+      if (search == nullptr) return false;
       search->deadline = handle;
-      break;
+      return true;
     }
+    case kGoodbyeEvent:
+      return user(tag.a32) && user(tag.a);
+    case kJoinAtServer:
+      return user(tag.a) && channel(tag.b) && video(tag.c);
+    case kServerWatch:
+      return user(tag.a) && video(tag.b);
+    case kGossipAtHelper:
+      return user(tag.a32) && user(tag.a) && channel(tag.b);
+    case kRepairAtServer:
+      return user(tag.a) && channel(tag.b) && category(tag.b);
+    case kJoinReply:
+      return user(tag.a32) && channel(tag.a) && category(tag.a) &&
+             video(tag.c);
+    case kFloodHop:
+      return user(tag.a32) && user(tag.a) && video(tag.b);
+    case kSearchHit:
+      return user(tag.b);
+    case kGossipReply:
+    case kRepairReply:
+      return user(tag.a32) && channel(tag.a);
     default:
-      break;
+      return false;
   }
 }
 

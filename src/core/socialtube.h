@@ -119,7 +119,8 @@ class SocialTubeSystem final : public vod::VodSystem,
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
   void discard(const sim::EventTag& tag) override;
-  void onRestored(const sim::EventTag& tag, sim::EventHandle handle) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   [[nodiscard]] std::string_view name() const override { return "SocialTube"; }
 

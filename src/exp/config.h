@@ -80,8 +80,8 @@ struct ExperimentConfig {
   };
   Snapshot snapshot;
 
-  // Community-sharded engine (DESIGN.md §13). count 0 runs the legacy
-  // monolithic queue; a power-of-two count shards the event queue by
+  // Community-sharded engine (DESIGN.md §13). count 0 runs the unsharded
+  // one-key plan; a power-of-two count shards the event queue by
   // interest community (key = 1 + category; key 0 is the origin server's
   // root). The full stack shares RNG/metrics/flow state, so sharded
   // experiment runs execute on the serial canonical merge — bitwise equal

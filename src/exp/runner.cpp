@@ -427,7 +427,7 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
     const auto scope = profiler.scope("event_loop");
     simulator.runUntil(config.duration);
   }
-  if (simulator.sharded()) {
+  if (config.shards.any()) {
     // Per-shard engine telemetry rides in the phase report (wall-clock
     // territory, excluded from the determinism guarantee): one phase per
     // shard whose call count is the events that shard fired, plus the

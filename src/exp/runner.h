@@ -43,7 +43,7 @@ struct ExperimentResult {
   double uploadGini = 0.0;
   // Cross-shard posts that undercut the lookahead floor (`shard.
   // cross_below_floor`). Non-zero after a parallel sharded run means the
-  // engine degraded to the serial merge mid-run; always 0 for monolithic
+  // engine degraded to the serial merge mid-run; always 0 for unsharded
   // runs. A plain field, NOT a registry counter: the counter snapshot must
   // stay identical across shard/worker counts for the bitwise-equality
   // harness, and this value legitimately differs.

@@ -42,19 +42,24 @@ Injector::~Injector() {
 }
 
 sim::Callback Injector::rebuild(const sim::EventTag& tag) {
-  assert(tag.a < schedule_.events().size() && "fault event index out of range");
-  const FaultEvent& event = schedule_.events()[static_cast<std::size_t>(tag.a)];
+  // Captures the index, not the event: a restored tag is range-checked by
+  // onRestored() only after rebuild() runs.
+  const auto index = static_cast<std::size_t>(tag.a);
   switch (tag.kind) {
     case kActivateEvent:
-      return [this, &event] { activate(event); };
+      return [this, index] { activate(schedule_.events()[index]); };
     case kDeactivateEvent:
-      return [this, &event] { deactivate(event); };
+      return [this, index] { deactivate(schedule_.events()[index]); };
     case kToggleEvent:
-      return [this, &event] { toggleFlap(event); };
+      return [this, index] { toggleFlap(schedule_.events()[index]); };
     default:
       assert(false && "unknown fault event kind");
       return [] {};
   }
+}
+
+bool Injector::onRestored(const sim::EventTag& tag, sim::EventHandle) {
+  return tag.kind <= kToggleEvent && tag.a < schedule_.events().size();
 }
 
 void Injector::arm() {

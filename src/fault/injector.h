@@ -74,6 +74,8 @@ class Injector final : public net::MessageFaultHook, public sim::EventFactory {
   ~Injector() override;
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
 

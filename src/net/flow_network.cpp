@@ -125,12 +125,13 @@ sim::Callback FlowNetwork::rebuild(const sim::EventTag& tag) {
   return [this, id] { finish(id); };
 }
 
-void FlowNetwork::onRestored(const sim::EventTag& tag,
+bool FlowNetwork::onRestored(const sim::EventTag& tag,
                              sim::EventHandle handle) {
-  assert(tag.kind == kFinishEvent);
+  if (tag.kind != kFinishEvent) return false;
   Flow* flow = flows_.find(slotOf(FlowId{static_cast<std::uint32_t>(tag.a)}));
-  assert(flow != nullptr);
+  if (flow == nullptr) return false;
   flow->completion = handle;
+  return true;
 }
 
 void FlowNetwork::beginBatch() { ++batchDepth_; }

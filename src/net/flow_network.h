@@ -133,7 +133,8 @@ class FlowNetwork : public sim::EventFactory {
 
   // EventFactory for Component::kFlow — internal completion events.
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
-  void onRestored(const sim::EventTag& tag, sim::EventHandle handle) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   // Registers endpoint `id` (ids must be dense, assigned by the caller).
   void addEndpoint(EndpointId id, EndpointCapacity capacity);

@@ -26,33 +26,6 @@ sim::SimTime stretch(sim::SimTime latency, double factor) {
 }  // namespace
 
 bool Network::sendMessage(EndpointId from, EndpointId to,
-                          DeliveryCallback onDeliver) {
-  ++messagesSent_;
-  MessageFaultHook::Decision decision;
-  if (faultHook_ != nullptr) {
-    decision = faultHook_->onMessage(from, to);
-    if (decision.drop) {
-      ++messagesFaulted_;
-      return false;
-    }
-  }
-  if (latency_->lost(from, to, rng_)) {
-    ++messagesLost_;
-    return false;
-  }
-  const sim::SimTime delay =
-      stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
-      decision.extraDelay;
-  if (shardRouter_ != nullptr && sim_.sharded()) {
-    sim_.scheduleForKey(shardRouter_->shardKeyOf(to), delay,
-                        std::move(onDeliver));
-  } else {
-    sim_.schedule(delay, std::move(onDeliver));
-  }
-  return true;
-}
-
-bool Network::sendMessage(EndpointId from, EndpointId to,
                           const sim::EventTag& tag) {
   ++messagesSent_;
   MessageFaultHook::Decision decision;
@@ -72,11 +45,9 @@ bool Network::sendMessage(EndpointId from, EndpointId to,
   const sim::SimTime delay =
       stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
       decision.extraDelay;
-  if (shardRouter_ != nullptr && sim_.sharded()) {
-    sim_.scheduleForKeyTagged(shardRouter_->shardKeyOf(to), delay, tag);
-  } else {
-    sim_.scheduleTagged(delay, tag);
-  }
+  const std::uint32_t key =
+      to.index() < ownerKey_.size() ? ownerKey_[to.index()] : 0;
+  sim_.scheduleForKeyTagged(key, delay, tag);
   if (decision.duplicate) {
     // Dup fault: a second delivery of the very same tag, under its own
     // latency draw (it may overtake the original). Receivers are
@@ -85,11 +56,7 @@ bool Network::sendMessage(EndpointId from, EndpointId to,
     const sim::SimTime dupDelay =
         stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
         decision.extraDelay;
-    if (shardRouter_ != nullptr && sim_.sharded()) {
-      sim_.scheduleForKeyTagged(shardRouter_->shardKeyOf(to), dupDelay, tag);
-    } else {
-      sim_.scheduleTagged(dupDelay, tag);
-    }
+    sim_.scheduleForKeyTagged(key, dupDelay, tag);
   }
   return true;
 }

@@ -4,11 +4,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/flow_network.h"
 #include "net/latency.h"
 #include "obs/registry.h"
-#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/strong_id.h"
@@ -33,10 +33,7 @@ class MessageFaultHook {
     // floor is preserved; 1.0 is the exact identity (bitwise-inert).
     double delayFactor = 1.0;
     // Delivery fault: deliver the message twice, the copy under an
-    // independent latency draw. Only tagged messages can be duplicated
-    // (closures are move-only); the flag is ignored for the callback
-    // variant, which keeps the hook's RNG draw sequence identical across
-    // both send paths.
+    // independent latency draw.
     bool duplicate = false;
   };
 
@@ -44,57 +41,34 @@ class MessageFaultHook {
   virtual Decision onMessage(EndpointId from, EndpointId to) = 0;
 };
 
-// Maps an endpoint to its owner community key so deliveries land on the
-// destination's shard (DESIGN.md §13). SystemContext implements this from
-// the catalog's subscription graph; key 0 is the root (origin server).
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-  [[nodiscard]] virtual std::uint32_t shardKeyOf(EndpointId endpoint) const = 0;
-};
-
 class Network {
  public:
-  // Small-buffer-optimized (sim/callback.h): protocol message closures ride
-  // inline through the scheduler instead of heap-allocating per hop.
-  using DeliveryCallback = sim::Callback;
-
   Network(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
           std::uint64_t seed);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // --- endpoints -----------------------------------------------------------
-  void addEndpoint(EndpointId id, EndpointCapacity capacity) {
+  // `ownerKey` is the community key (DESIGN.md §13) that deliveries to the
+  // endpoint execute under; it must be a key of the simulator's plan. Key 0,
+  // the root, is the default and the only key of the one-key plan.
+  void addEndpoint(EndpointId id, EndpointCapacity capacity,
+                   std::uint32_t ownerKey = 0) {
     flows_.addEndpoint(id, capacity);
+    if (ownerKey_.size() <= id.index()) ownerKey_.resize(id.index() + 1, 0);
+    ownerKey_[id.index()] = ownerKey;
   }
 
   // --- control plane -------------------------------------------------------
-  // Delivers `onDeliver` at `to` after the model's one-way delay, unless the
-  // message is lost (then nothing happens — protocols recover via timeouts).
-  // Returns true if the message was actually sent (not lost).
-  bool sendMessage(EndpointId from, EndpointId to, DeliveryCallback onDeliver);
-
-  // Tagged (checkpointable) variant: delivery is scheduled through the
-  // tag's EventFactory; a lost or fault-dropped message routes the tag to
-  // Simulator::discardTagged so factory-managed payloads are freed.
+  // Delivers the tagged event at `to` after the model's one-way delay, on
+  // `to`'s owner key, through the tag's EventFactory. A lost or fault-
+  // dropped message routes the tag to Simulator::discardTagged so factory-
+  // managed payloads are freed (protocols recover via timeouts). Returns
+  // true if the message was actually sent (not lost).
   bool sendMessage(EndpointId from, EndpointId to, const sim::EventTag& tag);
 
   // One-way delay sample without sending (for timeout sizing in protocols).
   [[nodiscard]] sim::SimTime sampleDelay(EndpointId from, EndpointId to);
-
-  // --- community sharding ----------------------------------------------------
-  // Installs (or clears) the endpoint -> community-key router. With a
-  // router installed and the simulator sharded, every delivery is
-  // scheduled onto the destination's shard; without one, deliveries
-  // inherit the sender's ambient key.
-  void setShardRouter(const ShardRouter* router) { shardRouter_ = router; }
-  // The latency model's guaranteed cross-endpoint delay floor — the
-  // lookahead window the sharded engine synchronizes on. <= 0 means the
-  // model declares no floor and sharding must be refused at startup.
-  [[nodiscard]] sim::SimTime lookaheadFloor() const {
-    return latency_->minDelay();
-  }
 
   // Installs (or clears, with nullptr) the scripted-fault hook. The hook is
   // consulted on every sendMessage before the latency model; it must outlive
@@ -158,7 +132,8 @@ class Network {
   FlowNetwork flows_;
   Rng rng_;
   MessageFaultHook* faultHook_ = nullptr;
-  const ShardRouter* shardRouter_ = nullptr;
+  // By endpoint index; endpoints never added are owned by the root key.
+  std::vector<std::uint32_t> ownerKey_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesLost_ = 0;
   std::uint64_t messagesFaulted_ = 0;

@@ -92,13 +92,17 @@ inline EventTag makeTag(Component component, std::uint8_t kind,
 // before delivery — components free pool payloads the tag references.
 // onRestored() fires for each event loaded from a snapshot so components
 // can re-store the EventHandle (timeouts, deadlines, probe timers) that the
-// original schedule call returned.
+// original schedule call returned. A snapshot is outside input: rebuild()
+// may only capture tag words, and onRestored() range-checks every word the
+// event will index with, returning false when the tag does not name live
+// state (the restore then fails instead of writing out of bounds).
 class EventFactory {
  public:
   virtual ~EventFactory() = default;
   [[nodiscard]] virtual Callback rebuild(const EventTag& tag) = 0;
   virtual void discard(const EventTag& tag) { (void)tag; }
-  virtual void onRestored(const EventTag& tag, EventHandle handle);
+  [[nodiscard]] virtual bool onRestored(const EventTag& tag,
+                                        EventHandle handle);
 };
 
 }  // namespace st::sim

@@ -1,5 +1,7 @@
 #include "sim/shard.h"
 
+#include <utility>
+
 namespace st::sim {
 
 namespace {
@@ -12,7 +14,9 @@ bool ShardSpec::parse(std::string_view spec, ShardSpec* out,
                       std::string* error) {
   auto reject = [&](const std::string& why) {
     if (error != nullptr) {
-      *error = "'" + std::string(spec) + "': " + why;
+      std::string message = "'";
+      message.append(spec).append("': ").append(why);
+      *error = std::move(message);
     }
     return false;
   };
@@ -41,8 +45,8 @@ const char* ShardSpec::grammar() {
   return "--shards N\n"
          "  N: power-of-two shard count, 1..256 (decimal)\n"
          "  Shards partition the event queue by interest community; N may\n"
-         "  not exceed the catalog's community count. Omit the flag for\n"
-         "  the monolithic engine.";
+         "  not exceed the catalog's community count. Omit the flag to run\n"
+         "  unsharded.";
 }
 
 bool ShardPlan::validate(std::string* error) const {

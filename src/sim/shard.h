@@ -9,7 +9,10 @@
 // model's minimum cross-community delay. The canonical order of two events
 // is (time, then owner key, then per-key sequence), which no shard count
 // can change — so a sharded run is bitwise-identical to the same run at
-// any other shard count, including the serial `--shards 1` merge.
+// any other shard count, including the serial `--shards 1` merge. The
+// default ShardPlan is the one-key plan of an unsharded run: its order
+// differs from a community plan's, so results compare only within one
+// `--shards` setting.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,7 @@ namespace st::sim {
 // state, so example binaries can reject a bad spec with exit code 2 and
 // the offending token before any setup work runs.
 struct ShardSpec {
-  std::uint32_t count = 0;  // 0 = sharding off (monolithic engine)
+  std::uint32_t count = 0;  // 0 = sharding off (the one-key plan)
 
   [[nodiscard]] bool any() const { return count > 0; }
 

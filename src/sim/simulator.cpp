@@ -25,9 +25,10 @@ constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
 }  // namespace
 
-void EventFactory::onRestored(const EventTag& tag, EventHandle handle) {
+bool EventFactory::onRestored(const EventTag& tag, EventHandle handle) {
   (void)tag;
   (void)handle;
+  return true;
 }
 
 SimTime Simulator::now() const {
@@ -81,12 +82,12 @@ bool Simulator::configureShards(const ShardPlan& plan, std::string* error) {
     return reject("community key space too large for the stamp packing (" +
                   std::to_string(plan.keyCount) + " keys)");
   }
-  if (now_ != 0 || nextSeq_ != 1 || pendingEvents() != 0 ||
+  // Outside events every stamp comes from the root key.
+  if (now_ != 0 || keySeq_[0] != 0 || pendingEvents() != 0 ||
       eventsFired() != 0) {
     return reject("configureShards must run on a pristine simulator, before "
                   "any event is scheduled");
   }
-  sharded_ = true;
   plan_ = plan;
   shards_.clear();
   shards_.resize(plan.shardCount);
@@ -96,7 +97,6 @@ bool Simulator::configureShards(const ShardPlan& plan, std::string* error) {
 }
 
 std::uint64_t Simulator::nextStamp(std::uint32_t srcKey) {
-  if (!sharded_) return nextSeq_++;
   assert(srcKey < keySeq_.size());
   std::uint64_t& seq = keySeq_[srcKey];
   assert(seq < kKeySeqMask && "per-key sequence overflow");
@@ -150,15 +150,12 @@ EventHandle Simulator::enqueueInShard(ShardState& shard, SimTime when,
 EventHandle Simulator::enqueue(SimTime when, Callback fn, SimTime period,
                                const EventTag& tag, std::uint32_t destKey) {
   assert(when >= now());
-  if (!sharded_) {
-    return enqueueInShard(shards_[0], when, nextSeq_++, std::move(fn), period,
-                          tag, 0);
-  }
   assert(destKey < plan_.keyCount);
-  const std::uint32_t srcKey = currentKey();
+  const bool inWindow = tlsWindow.sim == this;
+  const std::uint32_t srcKey = inWindow ? tlsWindow.key : currentKey_;
   const std::uint64_t stamp = nextStamp(srcKey);
   const std::uint32_t destShard = plan_.shardOf(destKey);
-  if (tlsWindow.sim == this) {
+  if (inWindow) {
     // Inside a parallel window: same-shard posts go straight into the
     // worker-owned arena; cross-shard posts ride the outbox and are
     // applied by the barrier coordinator.
@@ -196,8 +193,7 @@ EventHandle Simulator::scheduleAt(SimTime when, Callback fn) {
 
 EventHandle Simulator::schedulePeriodic(SimTime period, Callback fn) {
   assert(period > 0);
-  ShardState& home = shardForKey(currentKey());
-  ++home.periodicLive;
+  ++shards_[plan_.shardOf(currentKey())].periodicLive;
   return enqueue(now() + period, std::move(fn), period, EventTag{},
                  currentKey());
 }
@@ -206,7 +202,7 @@ EventHandle Simulator::scheduleForKey(std::uint32_t destKey, SimTime delay,
                                       Callback fn) {
   assert(delay >= 0);
   return enqueue(now() + delay, std::move(fn), /*period=*/0, EventTag{},
-                 sharded_ ? destKey : 0);
+                 destKey);
 }
 
 EventHandle Simulator::scheduleForKeyTagged(std::uint32_t destKey,
@@ -217,7 +213,7 @@ EventHandle Simulator::scheduleForKeyTagged(std::uint32_t destKey,
   assert(tag.tagged() && factory != nullptr &&
          "tagged event without a registered factory");
   return enqueue(now() + delay, factory->rebuild(tag), /*period=*/0, tag,
-                 sharded_ ? destKey : 0);
+                 destKey);
 }
 
 EventHandle Simulator::scheduleTagged(SimTime delay, const EventTag& tag) {
@@ -240,8 +236,7 @@ EventHandle Simulator::schedulePeriodicTagged(SimTime period,
       factories_[static_cast<std::size_t>(tag.component)];
   assert(tag.tagged() && factory != nullptr &&
          "tagged event without a registered factory");
-  ShardState& home = shardForKey(currentKey());
-  ++home.periodicLive;
+  ++shards_[plan_.shardOf(currentKey())].periodicLive;
   return enqueue(now() + period, factory->rebuild(tag), period, tag,
                  currentKey());
 }
@@ -275,39 +270,44 @@ void Simulator::cancel(EventHandle handle) {
   --shard.live;
 }
 
+void Simulator::fire(ShardState& shard, const HeapEntry& entry) {
+  ++shard.fired;
+  Slot* slot = &shard.slots[entry.slot];
+  if (slot->period > 0) {
+    // Move the callback out for the call: it may cancel its own series
+    // (which resets the slot) without destroying a running closure, and
+    // it may schedule new events (which can reallocate the arena).
+    Callback fn = std::move(slot->fn);
+    fn();
+    slot = &shard.slots[entry.slot];
+    if (slot->gen == entry.gen) {
+      slot->fn = std::move(fn);
+      shard.queue.push(HeapEntry{entry.when + slot->period,
+                                 nextStamp(slot->destKey), entry.slot,
+                                 entry.gen});
+    }
+    return;
+  }
+  // One-shot: release the slot before invoking so the handle is stale
+  // during the callback and the slot is immediately reusable.
+  Callback fn = std::move(slot->fn);
+  releaseSlot(shard, entry.slot);
+  --shard.live;
+  fn();
+}
+
 // Fires the canonically next live event of `shard`, updating the serial
 // clock and ambient key. Returns false if the shard had only stale entries.
 bool Simulator::fireNextIn(ShardState& shard) {
   while (!shard.queue.empty()) {
     const HeapEntry entry = shard.queue.top();
     shard.queue.pop();
-    Slot* slot = &shard.slots[entry.slot];
-    if (slot->gen != entry.gen) continue;  // cancelled
+    const Slot& slot = shard.slots[entry.slot];
+    if (slot.gen != entry.gen) continue;  // cancelled
     now_ = entry.when;
     shard.localNow = entry.when;
-    currentKey_ = slot->destKey;
-    ++shard.fired;
-    if (slot->period > 0) {
-      // Move the callback out for the call: it may cancel its own series
-      // (which resets the slot) without destroying a running closure, and
-      // it may schedule new events (which can reallocate the arena).
-      Callback fn = std::move(slot->fn);
-      fn();
-      slot = &shard.slots[entry.slot];
-      if (slot->gen == entry.gen) {
-        slot->fn = std::move(fn);
-        shard.queue.push(HeapEntry{now_ + slot->period,
-                                   nextStamp(slot->destKey), entry.slot,
-                                   entry.gen});
-      }
-      return true;
-    }
-    // One-shot: release the slot before invoking so the handle is stale
-    // during the callback and the slot is immediately reusable.
-    Callback fn = std::move(slot->fn);
-    releaseSlot(shard, entry.slot);
-    --shard.live;
-    fn();
+    currentKey_ = slot.destKey;
+    fire(shard, entry);
     return true;
   }
   return false;
@@ -410,32 +410,16 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
           tlsWindow.shardIndex = static_cast<std::uint32_t>(s);
           while (!shard.queue.empty()) {
             const HeapEntry entry = shard.queue.top();
-            Slot* slot = &shard.slots[entry.slot];
-            if (slot->gen != entry.gen) {
+            const Slot& slot = shard.slots[entry.slot];
+            if (slot.gen != entry.gen) {
               shard.queue.pop();
               continue;
             }
             if (entry.when >= winEnd || entry.when > until) break;
             shard.queue.pop();
             shard.localNow = entry.when;
-            tlsWindow.key = slot->destKey;
-            ++shard.fired;
-            if (slot->period > 0) {
-              Callback fn = std::move(slot->fn);
-              fn();
-              slot = &shard.slots[entry.slot];
-              if (slot->gen == entry.gen) {
-                slot->fn = std::move(fn);
-                shard.queue.push(HeapEntry{shard.localNow + slot->period,
-                                           nextStamp(slot->destKey),
-                                           entry.slot, entry.gen});
-              }
-              continue;
-            }
-            Callback fn = std::move(slot->fn);
-            releaseSlot(shard, entry.slot);
-            --shard.live;
-            fn();
+            tlsWindow.key = slot.destKey;
+            fire(shard, entry);
           }
         }
         sync.arrive_and_wait();
@@ -465,7 +449,7 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
 }
 
 std::uint64_t Simulator::runUntil(SimTime until) {
-  if (sharded_ && workers_ > 1 && shards_.size() > 1) {
+  if (workers_ > 1 && shards_.size() > 1) {
     return runUntilParallel(until);
   }
   return runUntilSerial(until);
@@ -517,33 +501,9 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
     }
   }
 
-  if (!sharded_) {
-    // Monolithic engine: the legacy byte layout, unchanged (single shard,
-    // so the drain above already produced the canonical order).
-    w.section(0x4d495351);  // "QSIM"
-    w.i64(now_);
-    w.u64(nextSeq_);
-    w.u64(eventsFired());
-    w.u64(pending.size());
-    for (const Pending& p : pending) {
-      w.i64(p.entry.when);
-      w.u64(p.entry.stamp);
-      w.i64(p.period);
-      w.u8(p.tag.component);
-      w.u8(p.tag.kind);
-      w.u16(p.tag.stage);
-      w.u32(p.tag.a32);
-      w.u64(p.tag.a);
-      w.u64(p.tag.b);
-      w.u64(p.tag.c);
-      w.u64(p.tag.d);
-    }
-    return true;
-  }
-
-  // Sharded engine: shard-count-independent layout — events carry their
-  // owner key and canonical stamp, sorted by the canonical order, so the
-  // bytes (and any restore) are identical at every shard count.
+  // Shard-count-independent layout: events carry their owner key and
+  // canonical stamp, sorted by the canonical order, so the bytes (and any
+  // restore) are identical at every shard count.
   std::sort(pending.begin(), pending.end(),
             [](const Pending& a, const Pending& b) {
               if (a.entry.when != b.entry.when) {
@@ -579,66 +539,23 @@ bool Simulator::loadState(snapshot::Reader& r) {
     shard = ShardState{};
   }
 
-  if (!sharded_) {
-    r.section(0x4d495351,
-              "simulator queue (was the snapshot saved with --shards?)");
-    const SimTime savedNow = r.i64();
-    const std::uint64_t savedNextSeq = r.u64();
-    const std::uint64_t savedFired = r.u64();
-    const std::size_t count = r.count(8 + 8 + 8 + 40);
-    if (!r.ok()) return false;
-
-    now_ = savedNow;
-    nextSeq_ = savedNextSeq;
-    firedBase_ = savedFired;
-    ShardState& shard = shards_[0];
-    for (std::size_t i = 0; i < count; ++i) {
-      const SimTime when = r.i64();
-      const std::uint64_t seq = r.u64();
-      const SimTime period = r.i64();
-      EventTag tag;
-      tag.component = r.u8();
-      tag.kind = r.u8();
-      tag.stage = r.u16();
-      tag.a32 = r.u32();
-      tag.a = r.u64();
-      tag.b = r.u64();
-      tag.c = r.u64();
-      tag.d = r.u64();
-      if (!r.ok()) return false;
-      if (when < now_ || seq >= nextSeq_ || period < 0 ||
-          tag.component >= kComponentCount || !tag.tagged()) {
-        r.fail("pending event out of range");
-        return false;
-      }
-      EventFactory* factory =
-          factories_[static_cast<std::size_t>(tag.component)];
-      if (factory == nullptr) {
-        r.fail("snapshot contains events for component " +
-               std::to_string(tag.component) +
-               " but no factory is registered (was the run configured "
-               "the same way?)");
-        return false;
-      }
-      const EventHandle handle = enqueueInShard(
-          shard, when, seq, factory->rebuild(tag), period, tag, 0);
-      if (period > 0) ++shard.periodicLive;
-      factory->onRestored(tag, handle);
-    }
-    return r.ok();
-  }
-
-  r.section(0x4d495353,
-            "sharded simulator queue (snapshot and run must both use "
-            "--shards)");
+  r.section(0x4d495353, "simulator queue");
   now_ = r.i64();
   firedBase_ = r.u64();
   const std::uint32_t savedKeys = r.u32();
   if (!r.ok()) return false;
   if (savedKeys != plan_.keyCount) {
-    r.fail("snapshot community key count (" + std::to_string(savedKeys) +
-           ") does not match this run's catalog (" +
-           std::to_string(plan_.keyCount) + ")");
+    // A one-key plan on either side means the runs disagree on --shards;
+    // two community plans disagree on the catalog's community count.
+    if (savedKeys == 1 || plan_.keyCount == 1) {
+      r.fail(std::string("snapshot was saved ") +
+             (savedKeys == 1 ? "without" : "with") +
+             " --shards; restore it the same way");
+    } else {
+      r.fail("snapshot community key count (" + std::to_string(savedKeys) +
+             ") does not match this run's catalog (" +
+             std::to_string(plan_.keyCount) + ")");
+    }
     return false;
   }
   for (std::uint64_t& seq : keySeq_) seq = r.u64();
@@ -680,7 +597,12 @@ bool Simulator::loadState(snapshot::Reader& r) {
     const EventHandle handle = enqueueInShard(
         shard, when, stamp, factory->rebuild(tag), period, tag, destKey);
     if (period > 0) ++shard.periodicLive;
-    factory->onRestored(tag, handle);
+    if (!factory->onRestored(tag, handle)) {
+      r.fail("pending event (component " + std::to_string(tag.component) +
+             ", kind " + std::to_string(tag.kind) +
+             ") does not name live state");
+      return false;
+    }
   }
   return r.ok();
 }

@@ -1,10 +1,10 @@
-// Deterministic discrete-event simulator with optional community sharding.
+// Deterministic discrete-event simulator, keyed by interest community.
 //
 // This is the PeerSim substitute (see DESIGN.md §8, "Scheduler internals"):
-// an event loop with an integer-microsecond clock. Events scheduled for the
-// same instant fire in scheduling order (a monotonically increasing sequence
-// number breaks ties), which makes runs reproducible regardless of heap
-// internals.
+// an event loop with an integer-microsecond clock. Every event is owned by
+// a community key and stamped (owner key << 40) | per-key sequence; events
+// scheduled for the same instant fire in stamp order, which makes runs
+// reproducible regardless of heap internals.
 //
 // Storage is a generation-stamped slot arena: callbacks live in recycled
 // slots, the binary heap holds only small POD entries, and an EventHandle is
@@ -13,12 +13,15 @@
 // event fired can never cancel an unrelated later event that reused the
 // slot, because the generation no longer matches.
 //
-// Sharded mode (DESIGN.md §13, configureShards): every event is owned by a
-// community key, keys map onto power-of-two shards by masking, and each
-// shard has its own arena + heap. The tie-break stamp becomes
-// (owner key << 40) | per-key sequence — a total order no shard count can
-// change — so a run is bitwise-identical at any shard count. runUntil()
-// merges the shard queues serially by that canonical order; with
+// There is one engine (DESIGN.md §13). A fresh simulator runs the one-key
+// plan: a single root key 0 on a single shard, so the stamp is a plain
+// scheduling sequence. configureShards() installs a community plan: keys
+// 1..C are the interest communities, keys map onto power-of-two shards by
+// masking, and each shard has its own arena + heap. The canonical
+// (when, stamp) order of a community plan depends on the key count only, so
+// a run is bitwise-identical at any --shards N; it is a different order
+// from the one-key plan's, so fingerprints compare only within one --shards
+// setting. runUntil() merges the shard queues serially by that order; with
 // setWorkers(n > 1) it instead runs conservative lookahead windows on a
 // thread per worker, exchanging cross-shard events at std::barrier
 // synchronization points (only safe for workloads whose events touch
@@ -79,26 +82,25 @@ class Simulator {
   EventHandle schedulePeriodic(SimTime period, Callback fn);
 
   // --- community sharding (DESIGN.md §13) -----------------------------------
-  // Splits the engine into plan.shardCount shard queues over
-  // plan.keyCount owner keys. Must be called before anything is scheduled;
-  // false (with *error) on an invalid plan. Key 0 is the root (server,
-  // experiment machinery); the ambient key during setup is 0.
+  // Replaces the one-key plan with a community plan: plan.shardCount shard
+  // queues over plan.keyCount owner keys. Must be called before anything is
+  // scheduled; false (with *error) on an invalid plan. Key 0 is the root
+  // (server, experiment machinery); the ambient key during setup is 0.
   bool configureShards(const ShardPlan& plan, std::string* error = nullptr);
-  [[nodiscard]] bool sharded() const { return sharded_; }
   [[nodiscard]] const ShardPlan& shardPlan() const { return plan_; }
   [[nodiscard]] std::size_t shardCount() const { return shards_.size(); }
-  // Worker threads for sharded runUntil(). 1 (default) = serial canonical
-  // merge — always safe. > 1 = parallel lookahead windows; only for
-  // workloads whose events touch shard-local state exclusively.
+  // Worker threads for runUntil() on a community plan. 1 (default) = the
+  // serial canonical merge — always safe. > 1 = parallel lookahead windows;
+  // only for workloads whose events touch shard-local state exclusively.
   void setWorkers(std::size_t workers) { workers_ = workers == 0 ? 1 : workers; }
   // Owner key of the event currently executing (0 outside of events).
   // Events scheduled without an explicit key inherit it.
   [[nodiscard]] std::uint32_t currentKey() const;
-  // Schedules onto another key's shard. In parallel-window mode a
-  // cross-shard delay below the lookahead floor is a hard error; the
-  // serial merge only counts it (crossBelowFloor). The returned handle is
-  // invalid for cross-shard posts made inside a parallel window (the slot
-  // is allocated at the barrier).
+  // Schedules onto another key's shard (destKey < shardPlan().keyCount). In
+  // parallel-window mode a cross-shard delay below the lookahead floor is a
+  // hard error; the serial merge only counts it (crossBelowFloor). The
+  // returned handle is invalid for cross-shard posts made inside a parallel
+  // window (the slot is allocated at the barrier).
   EventHandle scheduleForKey(std::uint32_t destKey, SimTime delay,
                              Callback fn);
   EventHandle scheduleForKeyTagged(std::uint32_t destKey, SimTime delay,
@@ -149,12 +151,12 @@ class Simulator {
   // untagged. Restore rebuilds callbacks through the registered factories
   // and invokes EventFactory::onRestored for each event, so components can
   // re-store the handles the original schedule calls returned; the
-  // factories for every serialized component must be registered first.
-  // The sharded engine writes a distinct section whose layout is
-  // shard-count-independent (events carry their owner key and canonical
+  // factories for every serialized component must be registered first, and
+  // a tag whose factory reports no live state fails the restore. The layout
+  // is shard-count-independent (events carry their owner key and canonical
   // stamp), so a snapshot taken at --shards 8 restores at --shards 1
-  // byte-for-byte; restoring across sharded/monolithic modes fails with a
-  // section mismatch.
+  // byte-for-byte; restoring across key counts (a one-key snapshot into a
+  // --shards run, or the reverse) is refused.
   bool saveState(snapshot::Writer& w, std::string* error) const;
   bool loadState(snapshot::Reader& r);
 
@@ -165,7 +167,7 @@ class Simulator {
   // Runs events until the queue is empty or the clock passes `until`.
   // Events at exactly `until` still run. Returns the number of events fired.
   std::uint64_t runUntil(SimTime until);
-  // Runs until the queue drains (serial merge in sharded mode).
+  // Runs until the queue drains (always the serial merge).
   std::uint64_t run();
   // Executes at most one event; returns false if the queue was empty.
   bool step();
@@ -202,13 +204,12 @@ class Simulator {
     SimTime period = 0;  // > 0: periodic series, re-enqueued after each fire
     std::uint32_t gen = 1;
     std::uint32_t nextFree = kNoFree;
-    // Owner key the event executes under (always 0 when unsharded).
+    // Owner key the event executes under.
     std::uint32_t destKey = 0;
   };
 
   // Heap entries are small PODs; the callback stays in the arena. `stamp`
-  // is the canonical tie-break: the global scheduling sequence when
-  // unsharded, (owner key << 40) | per-key sequence when sharded.
+  // is the canonical tie-break, (owner key << 40) | per-key sequence.
   struct HeapEntry {
     SimTime when;
     std::uint64_t stamp;
@@ -253,11 +254,11 @@ class Simulator {
     std::vector<CrossEvent> outbox;
   };
 
-  [[nodiscard]] ShardState& shardForKey(std::uint32_t key) {
-    return shards_[sharded_ ? plan_.shardOf(key) : 0];
-  }
   [[nodiscard]] std::uint64_t nextStamp(std::uint32_t srcKey);
   bool fireNextIn(ShardState& shard);
+  // Runs the live entry just popped from `shard`: a one-shot releases its
+  // slot first, a periodic series re-enqueues itself after the call.
+  void fire(ShardState& shard, const HeapEntry& entry);
   // Serial paths: picks the canonically next shard across all queues.
   ShardState* nextShardSerial();
   EventHandle enqueue(SimTime when, Callback fn, SimTime period,
@@ -272,20 +273,17 @@ class Simulator {
   std::uint64_t runUntilSerial(SimTime until);
   std::uint64_t runUntilParallel(SimTime until);
 
-  // shards_[0] doubles as the monolithic engine's storage; configureShards
-  // grows the vector. Deque-like stability is not needed — the vector is
-  // sized once at configuration time.
+  // The default ShardPlan is the one-key plan; configureShards resizes the
+  // vectors once, before anything is scheduled.
   std::vector<ShardState> shards_{1};
   SimTime now_ = 0;
-  std::uint64_t nextSeq_ = 1;  // unsharded global stamp source
   // Events fired before the current shard counters started (loadState).
   std::uint64_t firedBase_ = 0;
   std::array<EventFactory*, kComponentCount> factories_{};
 
-  bool sharded_ = false;
   ShardPlan plan_;
-  std::vector<std::uint64_t> keySeq_;  // per-key stamp sources (sharded)
-  std::uint32_t currentKey_ = 0;       // serial ambient owner key
+  std::vector<std::uint64_t> keySeq_{0};  // per-key stamp sources
+  std::uint32_t currentKey_ = 0;          // serial ambient owner key
   std::size_t workers_ = 1;
   std::uint64_t windowsRun_ = 0;
 };

@@ -35,7 +35,9 @@
 namespace st::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x4e535453;  // "STSN"
-inline constexpr std::uint32_t kFormatVersion = 1;
+// Version 2: every run writes the keyed SSIM queue section (an unsharded
+// run writes one key); version-1 files are refused.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint64_t kMaxSnapshotBytes = 1ull << 32;
 
 namespace detail {

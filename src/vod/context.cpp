@@ -24,10 +24,26 @@ SystemContext::SystemContext(sim::Simulator& simulator, net::Network& network,
       online_(catalog.userCount(), 0),
       offlineSince_(catalog.userCount(), 0),
       released_(catalog.videoCount(), 1) {
-  // Register endpoints: one per user plus the origin server.
+  // Register endpoints: one per user plus the origin server. Each endpoint
+  // is owned by a community key, so deliveries land on the receiver's
+  // shard (DESIGN.md §13). On a community plan a user's key is 1 + their
+  // primary interest (first entry of the catalog's sorted interest list;
+  // users without interests hash over the categories). The origin server,
+  // and every endpoint on the one-key plan, is owned by the root key 0.
+  const bool community = simulator.shardPlan().keyCount > 1;
+  const auto categories = catalog.categoryCount();
+  assert(!community || categories > 0);
   for (std::size_t i = 0; i < catalog.userCount(); ++i) {
+    std::uint32_t ownerKey = 0;
+    if (community) {
+      const trace::User& user = catalog.users()[i];
+      ownerKey = 1 + (user.interests.empty()
+                          ? static_cast<std::uint32_t>(i % categories)
+                          : user.interests.front().index());
+    }
     network_.addEndpoint(EndpointId{static_cast<std::uint32_t>(i)},
-                         {config.peerUploadBps, config.peerDownloadBps});
+                         {config.peerUploadBps, config.peerDownloadBps},
+                         ownerKey);
   }
   network_.addEndpoint(serverEndpoint_,
                        {config.serverUploadBps, config.serverUploadBps});
@@ -37,24 +53,6 @@ SystemContext::SystemContext(sim::Simulator& simulator, net::Network& network,
   const auto streamSlots = static_cast<std::size_t>(
       std::max(4.0, 2.0 * config.serverUploadBps / config.bitrateBps));
   network_.flows().setUploadConcurrencyLimit(serverEndpoint_, streamSlots);
-  // Community sharding: derive each user's home key from the catalog and
-  // route deliveries onto the receiver's shard (DESIGN.md §13). The key is
-  // deterministic in the catalog alone, so it is identical at every shard
-  // count (and in the serial --shards 1 merge).
-  if (simulator.sharded()) {
-    const auto categories = catalog.categoryCount();
-    assert(categories > 0);
-    homeKey_.resize(catalog.userCount());
-    for (std::size_t i = 0; i < homeKey_.size(); ++i) {
-      const trace::User& user = catalog.users()[i];
-      const std::uint32_t category =
-          user.interests.empty()
-              ? static_cast<std::uint32_t>(i % categories)
-              : user.interests.front().index();
-      homeKey_[i] = 1 + category;
-    }
-    network_.setShardRouter(this);
-  }
   // Overload-control policies (inert unless --overload enables them).
   if (config.overload.playbackFloorBps > 0.0) {
     network_.flows().setPlaybackFloor(config.overload.playbackFloorBps);
@@ -94,30 +92,6 @@ void SystemContext::reportNeighborSuccess(UserId owner, UserId neighbor) {
 std::size_t SystemContext::onlineCount() const {
   return static_cast<std::size_t>(
       std::count(online_.begin(), online_.end(), 1));
-}
-
-void SystemContext::sendUser(UserId from, UserId to,
-                             sim::Callback atReceiver) {
-  network_.sendMessage(
-      endpointOf(from), endpointOf(to),
-      [this, to, fn = std::move(atReceiver)]() mutable {
-        if (isOnline(to)) fn();
-      });
-}
-
-void SystemContext::sendToServer(UserId from, sim::Callback atServer) {
-  network_.sendMessage(endpointOf(from), serverEndpoint_,
-                       [this, fn = std::move(atServer)]() mutable {
-                         sim_.schedule(config_.serverProcessing,
-                                       std::move(fn));
-                       });
-}
-
-void SystemContext::sendFromServer(UserId to, sim::Callback atReceiver) {
-  network_.sendMessage(serverEndpoint_, endpointOf(to),
-                       [this, to, fn = std::move(atReceiver)]() mutable {
-                         if (isOnline(to)) fn();
-                       });
 }
 
 void SystemContext::sendUser(UserId from, UserId to, sim::EventTag tag) {
@@ -161,6 +135,19 @@ sim::Callback SystemContext::wrapStage(const sim::EventTag& tag,
     }
   }
   return action;
+}
+
+bool SystemContext::validStage(const sim::EventTag& tag) const {
+  switch (static_cast<sim::Stage>(tag.stage)) {
+    case sim::Stage::kDirect:
+    case sim::Stage::kServerArrive:
+    case sim::Stage::kServerRun:
+      return true;
+    case sim::Stage::kUserDeliver:
+    case sim::Stage::kFromServer:
+      return validUser(tag.a32);
+  }
+  return false;
 }
 
 std::uint64_t SystemContext::stashPayload(Payload payload) {

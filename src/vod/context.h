@@ -1,9 +1,9 @@
 // Shared wiring passed to every VoD system implementation.
 //
 // Users map to endpoints by index; the origin server is one extra endpoint.
-// Control-plane helpers deliver callbacks across the latency model and drop
-// messages whose receiver is offline at delivery time (protocols recover via
-// their phase deadlines).
+// Control-plane helpers deliver tagged events across the latency model and
+// drop messages whose receiver is offline at delivery time (protocols
+// recover via their phase deadlines).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@
 
 namespace st::vod {
 
-class SystemContext final : public net::ShardRouter {
+class SystemContext final {
  public:
   SystemContext(sim::Simulator& simulator, net::Network& network,
                 const trace::Catalog& catalog, const VideoLibrary& library,
@@ -50,21 +50,6 @@ class SystemContext final : public net::ShardRouter {
     return EndpointId{user.value()};
   }
   [[nodiscard]] EndpointId serverEndpoint() const { return serverEndpoint_; }
-
-  // --- community sharding (net::ShardRouter) --------------------------------
-  // A user's home community is their primary interest (first entry of the
-  // catalog's sorted interest list; users without interests hash over the
-  // categories); the origin server and everything it schedules live on the
-  // root key 0. Only populated when the simulator is sharded — the
-  // constructor then installs this context as the network's router so
-  // deliveries land on the receiver's shard.
-  [[nodiscard]] std::uint32_t homeKeyOf(UserId user) const {
-    return homeKey_.empty() ? 0 : homeKey_[user.index()];
-  }
-  [[nodiscard]] std::uint32_t shardKeyOf(EndpointId endpoint) const override {
-    if (endpoint == serverEndpoint_ || homeKey_.empty()) return 0;
-    return homeKey_[endpoint.value()];
-  }
 
   [[nodiscard]] bool isOnline(UserId user) const {
     return online_[user.index()] != 0;
@@ -102,33 +87,46 @@ class SystemContext final : public net::ShardRouter {
   void reportNeighborFailure(UserId owner, UserId neighbor);
   void reportNeighborSuccess(UserId owner, UserId neighbor);
 
-  // Delivers `atReceiver` at `to` after one-way latency; silently dropped if
-  // the receiver is offline when the message arrives (or lost in transit).
-  void sendUser(UserId from, UserId to, sim::Callback atReceiver);
-
-  // Request to the origin server: latency + processing delay, then
-  // `atServer` runs (server never churns).
-  void sendToServer(UserId from, sim::Callback atServer);
-
-  // Server-to-user reply; dropped if the user went offline.
-  void sendFromServer(UserId to, sim::Callback atReceiver);
-
-  // --- tagged (checkpointable) messaging ------------------------------------
-  // Same delivery semantics as the closure helpers, but the message is a
-  // serializable EventTag routed through the component's EventFactory. The
-  // helpers stamp the delivery stage (and receiver) onto the tag; the
-  // factory's rebuild() applies the matching guard via wrapStage().
+  // --- messaging -------------------------------------------------------------
+  // Every message is a serializable EventTag routed through the component's
+  // EventFactory. The helpers stamp the delivery stage (and receiver) onto
+  // the tag; the factory's rebuild() applies the matching guard via
+  // wrapStage().
+  //
+  // User to user: silently dropped if the receiver is offline when the
+  // message arrives (or lost in transit).
   void sendUser(UserId from, UserId to, sim::EventTag tag);
+  // Request to the origin server: latency + processing delay, then the
+  // event runs (the server never churns).
   void sendToServer(UserId from, sim::EventTag tag);
+  // Server-to-user reply; dropped if the user went offline.
   void sendFromServer(UserId to, sim::EventTag tag);
 
-  // Wraps a component's raw event action in the delivery-stage guard the
-  // closure send helpers used to capture: online checks for user delivery,
-  // the server-processing hop for requests. Factories call this from
-  // rebuild() so runtime and restore share one path. For kServerArrive the
-  // action is ignored — the wrapper schedules the same tag at kServerRun.
+  // Wraps a component's raw event action in its delivery-stage guard: online
+  // checks for user delivery, the server-processing hop for requests.
+  // Factories call this from rebuild() so runtime and restore share one
+  // path. For kServerArrive the action is ignored — the wrapper schedules
+  // the same tag at kServerRun.
   [[nodiscard]] sim::Callback wrapStage(const sim::EventTag& tag,
                                         sim::Callback action);
+
+  // --- restore validation (EventFactory::onRestored) -------------------------
+  // A snapshot is outside input: factories check every tag word they index
+  // with before the restore succeeds. validStage() checks the delivery
+  // stage and, for user deliveries, the receiver wrapStage() reads.
+  [[nodiscard]] bool validStage(const sim::EventTag& tag) const;
+  [[nodiscard]] bool validUser(std::uint64_t id) const {
+    return id < catalog_.userCount();
+  }
+  [[nodiscard]] bool validVideo(std::uint64_t id) const {
+    return id < catalog_.videoCount();
+  }
+  [[nodiscard]] bool validChannel(std::uint64_t id) const {
+    return id < catalog_.channelCount();
+  }
+  [[nodiscard]] bool validCategory(std::uint64_t id) const {
+    return id < catalog_.categoryCount();
+  }
 
   // --- payload pool ----------------------------------------------------------
   // Serializable side-storage for event arguments that do not fit in a
@@ -176,9 +174,6 @@ class SystemContext final : public net::ShardRouter {
   Rng rng_;
   BreakerBoard breakers_;
   EndpointId serverEndpoint_;
-  // Per-user owner community key (1 + category index); empty unless the
-  // simulator is sharded.
-  std::vector<std::uint32_t> homeKey_;
   std::vector<char> online_;
   std::vector<sim::SimTime> offlineSince_;
   std::vector<char> released_;

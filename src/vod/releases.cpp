@@ -28,6 +28,10 @@ sim::Callback ReleaseManager::rebuild(const sim::EventTag& tag) {
   return [this, video] { release(video); };
 }
 
+bool ReleaseManager::onRestored(const sim::EventTag& tag, sim::EventHandle) {
+  return tag.kind == kReleaseEvent && ctx_.validVideo(tag.a);
+}
+
 void ReleaseManager::schedule(std::vector<ReleasePlanEntry> plan) {
   for (const ReleasePlanEntry& entry : plan) {
     ctx_.setReleased(entry.video, false);

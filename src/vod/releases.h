@@ -37,6 +37,8 @@ class ReleaseManager final : public sim::EventFactory {
   ~ReleaseManager() override;
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   // Marks every planned video unreleased and schedules its publication.
   // Call once, before Simulator::run().

@@ -44,6 +44,17 @@ sim::Callback SessionDriver::rebuild(const sim::EventTag& tag) {
   }
 }
 
+bool SessionDriver::onRestored(const sim::EventTag& tag, sim::EventHandle) {
+  switch (tag.kind) {
+    case kLoginEvent:
+      return ctx_.validUser(tag.a);
+    case kPlaybackDoneEvent:
+      return ctx_.validUser(tag.a) && ctx_.validVideo(tag.b);
+    default:
+      return false;
+  }
+}
+
 void SessionDriver::start() {
   const double stagger = ctx_.config().loginStaggerSeconds;
   for (std::size_t i = 0; i < users_.size(); ++i) {

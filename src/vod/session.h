@@ -31,6 +31,8 @@ class SessionDriver final : public sim::EventFactory {
   ~SessionDriver() override;
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   // Schedules the initial logins; call once before Simulator::run().
   void start();

@@ -48,19 +48,20 @@ sim::Callback TransferManager::rebuild(const sim::EventTag& tag) {
   }
 }
 
-void TransferManager::onRestored(const sim::EventTag& tag,
+bool TransferManager::onRestored(const sim::EventTag& tag,
                                  sim::EventHandle handle) {
   // Only timeouts and hedge deadlines live in the simulator queue;
   // completion tags ride inside flow records and are invoked, never
   // scheduled.
-  assert(tag.kind == kTimeoutEvent || tag.kind == kHedgeEvent);
+  if (tag.kind != kTimeoutEvent && tag.kind != kHedgeEvent) return false;
   Watch* watch = watches_.find(tag.a);
-  assert(watch != nullptr);
+  if (watch == nullptr) return false;
   if (tag.kind == kHedgeEvent) {
     watch->hedge = handle;
   } else {
     watch->timeout = handle;
   }
+  return true;
 }
 
 void TransferManager::reportPlaybackReady(UserId user, VideoId video,

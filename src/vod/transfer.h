@@ -64,7 +64,8 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
 
   // EventFactory for Component::kTransfer.
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override;
-  void onRestored(const sim::EventTag& tag, sim::EventHandle handle) override;
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override;
 
   // FlowObserver: a provider endpoint dropped out from under `flow` (node
   // departure); credit what it delivered and restart the remainder from a

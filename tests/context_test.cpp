@@ -1,14 +1,16 @@
-// SystemContext semantics: endpoint wiring, online gating of message
-// delivery, and server round-trip behaviour.
+// SystemContext semantics: endpoint wiring, the server's stream limit,
+// online gating of message delivery, and server round-trip behaviour.
 #include "vod/context.h"
 
 #include <gtest/gtest.h>
 
 #include "harness.h"
+#include "message_probe.h"
 
 namespace st::vod {
 namespace {
 
+using st::testing::MessageProbe;
 using st::testing::Stack;
 using st::testing::miniCatalog;
 
@@ -28,66 +30,71 @@ TEST_F(ContextTest, EndpointsAreDenseWithServerLast) {
 }
 
 TEST_F(ContextTest, ServerGetsConcurrencyLimitFromConfig) {
-  // 200 Mbps default uplink / 320 kbps bitrate * 2 = 1250 slots.
-  const auto& config = stack_.config();
-  const auto expected = static_cast<std::size_t>(
-      2.0 * config.serverUploadBps / config.bitrateBps);
-  // Verify indirectly: saturate and observe queueing beyond the limit.
-  (void)expected;
-  SUCCEED();  // structural check only; behaviour covered by flow_queue_test
+  // An uplink of 3 bitrates admits 2 * 3 = 6 concurrent streams; further
+  // server uploads queue FIFO until a slot frees.
+  VodConfig config;
+  config.serverUploadBps = 3.0 * config.bitrateBps;
+  Stack stack(miniCatalog(4, 1, 1, 3), config);
+  net::FlowNetwork& flows = stack.network().flows();
+  const EndpointId server = stack.ctx().serverEndpoint();
+  for (std::uint32_t i = 0; i < 9; ++i) {
+    flows.startFlow(server, stack.ctx().endpointOf(UserId{i % 4}), 1'000'000);
+  }
+  EXPECT_EQ(flows.activeUploads(server), 6u);
+  EXPECT_EQ(flows.queuedUploads(server), 3u);
 }
 
 TEST_F(ContextTest, OnlineFlagGatesDelivery) {
+  MessageProbe probe(stack_.sim(), &stack_.ctx());
   stack_.ctx().setOnline(kAlice, true);
   stack_.ctx().setOnline(kBob, true);
-  int delivered = 0;
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, MessageProbe::message(1));
   stack_.sim().run();
-  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(probe.delivered.size(), 1u);
 
   stack_.ctx().setOnline(kBob, false);
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, MessageProbe::message(2));
   stack_.sim().run();
-  EXPECT_EQ(delivered, 1);  // dropped: receiver offline
+  EXPECT_EQ(probe.delivered.size(), 1u);  // dropped: receiver offline
 }
 
 TEST_F(ContextTest, ReceiverGoingOfflineMidFlightDropsMessage) {
+  MessageProbe probe(stack_.sim(), &stack_.ctx());
   stack_.ctx().setOnline(kAlice, true);
   stack_.ctx().setOnline(kBob, true);
-  int delivered = 0;
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, MessageProbe::message(1));
   // Bob logs off before the (>= 1 ms) latency elapses.
   stack_.ctx().setOnline(kBob, false);
   stack_.sim().run();
-  EXPECT_EQ(delivered, 0);
+  EXPECT_TRUE(probe.delivered.empty());
 }
 
 TEST_F(ContextTest, ServerRoundTripIncursLatencyAndProcessing) {
+  MessageProbe probe(stack_.sim(), &stack_.ctx());
+  probe.onDeliver = [&](std::uint64_t id) {
+    if (id == 1) stack_.ctx().sendFromServer(kAlice, MessageProbe::message(2));
+  };
   stack_.ctx().setOnline(kAlice, true);
-  sim::SimTime atServer = -1;
-  sim::SimTime atUser = -1;
-  stack_.ctx().sendToServer(kAlice, [&] {
-    atServer = stack_.sim().now();
-    stack_.ctx().sendFromServer(kAlice,
-                                [&] { atUser = stack_.sim().now(); });
-  });
+  stack_.ctx().sendToServer(kAlice, MessageProbe::message(1));
   stack_.sim().run();
-  EXPECT_GE(atServer, sim::kMillisecond);  // latency + processing
-  EXPECT_GT(atUser, atServer);             // reply latency
+  ASSERT_EQ(probe.delivered.size(), 2u);
+  const sim::SimTime atServer = probe.delivered[0].at;
+  const sim::SimTime atUser = probe.delivered[1].at;
+  EXPECT_GT(atServer, stack_.config().serverProcessing);  // + latency
+  EXPECT_GT(atUser, atServer);                            // reply latency
 }
 
 TEST_F(ContextTest, ServerNeverChurns) {
   // sendToServer runs even when every user is offline (the server is not a
   // user); only the reply is gated.
-  int atServer = 0;
-  int atUser = 0;
-  stack_.ctx().sendToServer(kAlice, [&] {
-    ++atServer;
-    stack_.ctx().sendFromServer(kAlice, [&] { ++atUser; });
-  });
+  MessageProbe probe(stack_.sim(), &stack_.ctx());
+  probe.onDeliver = [&](std::uint64_t id) {
+    if (id == 1) stack_.ctx().sendFromServer(kAlice, MessageProbe::message(2));
+  };
+  stack_.ctx().sendToServer(kAlice, MessageProbe::message(1));
   stack_.sim().run();
-  EXPECT_EQ(atServer, 1);
-  EXPECT_EQ(atUser, 0);  // Alice offline: reply dropped
+  ASSERT_EQ(probe.delivered.size(), 1u);
+  EXPECT_EQ(probe.delivered[0].id, 1u);  // Alice offline: reply dropped
 }
 
 TEST_F(ContextTest, OnlineCountTracksFlags) {

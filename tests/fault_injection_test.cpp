@@ -639,8 +639,8 @@ TEST(FaultInjectionRun, GrayFaultedAggregatesBitwiseIdenticalAcrossThreads) {
   }
 }
 
-// An empty fault schedule must be bitwise-inert not just on the monolithic
-// engine (NoOpSpecMatchesInjectorFreeRunBitwise above) but at every shard
+// An empty fault schedule must be bitwise-inert not just on an unsharded
+// run (NoOpSpecMatchesInjectorFreeRunBitwise above) but at every shard
 // count and multi-seed worker count: the injector may not perturb the RNG,
 // the registry, or the event order anywhere in the matrix.
 TEST(FaultInjectionRun, NoOpSpecStaysInertAtEveryShardAndThreadCount) {
@@ -651,7 +651,7 @@ TEST(FaultInjectionRun, NoOpSpecStaysInertAtEveryShardAndThreadCount) {
   plain.trace.numCategories = 8;
   plain.duration = 2 * sim::kHour;
   constexpr std::size_t kSeeds = 2;
-  for (const std::uint32_t shards : {0u, 1u, 8u}) {  // 0 = monolithic
+  for (const std::uint32_t shards : {0u, 1u, 8u}) {  // 0 = unsharded
     plain.shards.count = shards;
     exp::ExperimentConfig noop = plain;
     noop.faults.spec = "none";

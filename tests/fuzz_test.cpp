@@ -2,16 +2,21 @@
 // sequences and compare against simple reference models (oracles).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "baselines/nettube.h"
+#include "core/socialtube.h"
 #include "exp/config.h"
 #include "exp/runner.h"
 #include "fault/schedule.h"
+#include "net/flow_network.h"
 #include "sim/simulator.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
@@ -19,6 +24,9 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "vod/membership.h"
+#include "vod/releases.h"
+#include "vod/session.h"
+#include "vod/transfer.h"
 
 namespace st {
 namespace {
@@ -568,6 +576,163 @@ TEST_P(SnapshotBodyFuzz, MutatedBodiesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotBodyFuzz,
                          ::testing::Values(11, 12, 13, 14));
+
+// Targeted tag corruption: one pending event's tag is pointed at state
+// that does not exist, which each factory must catch in onRestored() — the
+// restore fails naming the component and kind, instead of writing through
+// the word (probe timers), dereferencing a missing pool entry (deadlines,
+// timeouts, flow completions), or reading past the presence array when the
+// event fires (delivery stages). A restore that wrongly succeeds runs on to
+// the horizon, so a word read only at fire time crashes here too.
+namespace snapshot_fuzz {
+
+struct TagCorruption {
+  const char* name;
+  exp::SystemKind system;
+  std::uint32_t releasesPerChannel;
+  // The first pending event of this component and kind is rewritten.
+  sim::Component component;
+  std::uint8_t kind;
+  void (*corrupt)(sim::EventTag& tag);
+};
+
+exp::ExperimentConfig corruptionConfig(const TagCorruption& c) {
+  exp::ExperimentConfig config = tinyConfig();
+  if (c.releasesPerChannel > 0) {
+    config.releases.perChannel = c.releasesPerChannel;
+    config.releases.windowStartFraction = 0.6;
+    config.releases.windowEndFraction = 0.9;
+  }
+  return config;
+}
+
+std::vector<std::uint8_t> corruptionDonor(const TagCorruption& c) {
+  exp::ExperimentConfig config = corruptionConfig(c);
+  config.snapshot.out = st::testing::snapshotPath("tag_donor");
+  config.snapshot.at = sim::kHour / 2;
+  exp::runExperiment(config, c.system);
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  if (!snapshot::Reader::readFile(config.snapshot.out, &bytes, &error)) {
+    ADD_FAILURE() << "donor snapshot unreadable: " << error;
+  }
+  std::remove(config.snapshot.out.c_str());
+  return bytes;
+}
+
+// File offsets of every pending event's tag. The simulator queue is the
+// body's last section (Simulator::saveState): "SSIM", now, events fired,
+// key count, one sequence per key, the event count, then per event
+// when/stamp/owner key/period and the 40-byte tag.
+std::vector<std::size_t> pendingTagOffsets(
+    const std::vector<std::uint8_t>& file) {
+  constexpr std::size_t kEventBytes = 8 + 8 + 4 + 8 + 40;
+  const auto le = [&](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(file[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  for (std::size_t at = file.size() - 4; at >= kHeaderBytes; --at) {
+    if (le(at, 4) != 0x4d495353) continue;  // "SSIM"
+    const std::size_t keysAt = at + 4 + 8 + 8;
+    if (keysAt + 4 > file.size()) continue;
+    const std::size_t countAt = keysAt + 4 + 8 * le(keysAt, 4);
+    if (countAt + 8 > file.size()) continue;
+    const std::size_t count = le(countAt, 8);
+    if (countAt + 8 + count * kEventBytes != file.size()) continue;
+    std::vector<std::size_t> tags;
+    for (std::size_t i = 0; i < count; ++i) {
+      tags.push_back(countAt + 8 + i * kEventBytes + 28);
+    }
+    return tags;
+  }
+  return {};
+}
+
+}  // namespace snapshot_fuzz
+
+class SnapshotTagFuzz
+    : public ::testing::TestWithParam<snapshot_fuzz::TagCorruption> {};
+
+TEST_P(SnapshotTagFuzz, OutOfRangeTagFailsTheRestore) {
+  // The file's tag fields are little-endian in EventTag's member order, so
+  // on a little-endian host the 40 bytes are the struct's bytes.
+  static_assert(std::endian::native == std::endian::little);
+  const snapshot_fuzz::TagCorruption& c = GetParam();
+  std::vector<std::uint8_t> mutant = snapshot_fuzz::corruptionDonor(c);
+  sim::EventTag tag;
+  std::size_t at = 0;
+  for (const std::size_t offset : snapshot_fuzz::pendingTagOffsets(mutant)) {
+    std::memcpy(&tag, mutant.data() + offset, sizeof tag);
+    if (tag.component == static_cast<std::uint8_t>(c.component) &&
+        tag.kind == c.kind) {
+      at = offset;
+      break;
+    }
+  }
+  ASSERT_NE(at, 0u) << "donor has no matching pending event";
+  c.corrupt(tag);
+  std::memcpy(mutant.data() + at, &tag, sizeof tag);
+  snapshot_fuzz::fixupHeader(&mutant);
+
+  const std::string path = st::testing::snapshotPath("tag_mutant");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(mutant.data(), 1, mutant.size(), f);
+  std::fclose(f);
+  const exp::ExperimentConfig config = snapshot_fuzz::corruptionConfig(c);
+  st::testing::RestoreStack stack(config, c.system);
+  std::string error;
+  const bool ok =
+      snapshot::restore(path, stack.participants(), stack.compat(), &error);
+  std::remove(path.c_str());
+  if (ok) stack.sim().runUntil(config.duration);
+  EXPECT_FALSE(ok);
+  const std::string named = "(component " + std::to_string(tag.component) +
+                            ", kind " + std::to_string(tag.kind) + ")";
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Factories, SnapshotTagFuzz,
+    ::testing::Values(
+        snapshot_fuzz::TagCorruption{
+            "SocialTubeProbeUser", exp::SystemKind::kSocialTube, 0,
+            sim::Component::kSocialTube, core::SocialTubeSystem::kProbeEvent,
+            [](sim::EventTag& tag) { tag.a = 0xffffff; }},
+        snapshot_fuzz::TagCorruption{
+            "NetTubeProbeUser", exp::SystemKind::kNetTube, 0,
+            sim::Component::kNetTube, baselines::NetTubeSystem::kProbeEvent,
+            [](sim::EventTag& tag) { tag.a = 0xffffff; }},
+        snapshot_fuzz::TagCorruption{
+            "TransferWatchId", exp::SystemKind::kSocialTube, 0,
+            sim::Component::kTransfer, vod::TransferManager::kTimeoutEvent,
+            [](sim::EventTag& tag) { tag.a ^= 0x5a5a0000; }},
+        snapshot_fuzz::TagCorruption{
+            "FlowId", exp::SystemKind::kSocialTube, 0, sim::Component::kFlow,
+            net::FlowNetwork::kFinishEvent,
+            [](sim::EventTag& tag) { tag.a = 0xfffffff0; }},
+        // A probe turned into a goodbye addressed to a user past the
+        // catalog: wrapStage() reads the receiver's presence flag.
+        snapshot_fuzz::TagCorruption{
+            "DeliveryStageReceiver", exp::SystemKind::kSocialTube, 0,
+            sim::Component::kSocialTube, core::SocialTubeSystem::kProbeEvent,
+            [](sim::EventTag& tag) {
+              tag.kind = core::SocialTubeSystem::kGoodbyeEvent;
+              tag.stage = static_cast<std::uint16_t>(sim::Stage::kUserDeliver);
+              tag.a32 = 0xffffff;
+            }},
+        snapshot_fuzz::TagCorruption{
+            "SessionUser", exp::SystemKind::kPaVod, 0,
+            sim::Component::kSession, vod::SessionDriver::kLoginEvent,
+            [](sim::EventTag& tag) { tag.a = 0xffffff; }},
+        snapshot_fuzz::TagCorruption{
+            "ReleaseVideo", exp::SystemKind::kPaVod, 2,
+            sim::Component::kReleases, vod::ReleaseManager::kReleaseEvent,
+            [](sim::EventTag& tag) { tag.a = 0xffffff; }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // --- Gini coefficient properties ----------------------------------------------
 

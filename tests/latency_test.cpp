@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <vector>
 
+#include "message_probe.h"
 #include "net/network.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace st::net {
 namespace {
+
+using st::testing::MessageProbe;
 
 constexpr EndpointId kA{0};
 constexpr EndpointId kB{1};
@@ -115,14 +119,37 @@ TEST(Network, DeliversMessageAfterDelay) {
                   1);
   network.addEndpoint(kA, {1e6, 1e6});
   network.addEndpoint(kB, {1e6, 1e6});
-  bool delivered = false;
-  network.sendMessage(kA, kB, [&] { delivered = true; });
-  EXPECT_FALSE(delivered);
+  MessageProbe probe(sim);
+  EXPECT_TRUE(network.sendMessage(kA, kB, MessageProbe::message(1)));
+  EXPECT_TRUE(probe.delivered.empty());
   sim.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_GE(sim.now(), 9 * sim::kMillisecond);
+  ASSERT_EQ(probe.delivered.size(), 1u);
+  EXPECT_GE(probe.delivered[0].at, 9 * sim::kMillisecond);
   EXPECT_EQ(network.messagesSent(), 1u);
   EXPECT_EQ(network.messagesLost(), 0u);
+}
+
+TEST(Network, DeliveryRunsUnderTheReceiversOwnerKey) {
+  sim::Simulator sim;
+  sim::ShardPlan plan;
+  plan.keyCount = 3;  // root + two communities
+  plan.shardCount = 2;
+  plan.lookahead = sim::kMillisecond;
+  ASSERT_TRUE(sim.configureShards(plan));
+  Network network(sim, std::make_unique<CleanLatencyModel>(
+                           1, 10 * sim::kMillisecond, 20 * sim::kMillisecond),
+                  1);
+  network.addEndpoint(kA, {1e6, 1e6}, /*ownerKey=*/1);
+  network.addEndpoint(kB, {1e6, 1e6}, /*ownerKey=*/2);
+  MessageProbe probe(sim);
+  std::map<std::uint64_t, std::uint32_t> keyOf;  // message id -> key
+  probe.onDeliver = [&](std::uint64_t id) { keyOf[id] = sim.currentKey(); };
+  network.sendMessage(kA, kB, MessageProbe::message(1));
+  network.sendMessage(kB, kA, MessageProbe::message(2));
+  sim.run();
+  EXPECT_EQ(keyOf.size(), 2u);
+  EXPECT_EQ(keyOf[1], 2u);
+  EXPECT_EQ(keyOf[2], 1u);
 }
 
 // --- lookahead floor (minDelay) regressions -----------------------------------
@@ -215,20 +242,49 @@ TEST(LookaheadFloor, DegenerateCleanConfigStillHonorsItsOwnFloor) {
   }
 }
 
+// Drops every seventh message outright, before the latency model sees it.
+class EverySeventhDropped final : public MessageFaultHook {
+ public:
+  Decision onMessage(EndpointId, EndpointId) override {
+    Decision decision;
+    decision.drop = ++seen_ % 7 == 0;
+    return decision;
+  }
+
+ private:
+  int seen_ = 0;
+};
+
 TEST(Network, LossyModelDropsSomeMessages) {
   sim::Simulator sim;
   Network network(
       sim, std::make_unique<WideAreaLatencyModel>(2, 80.0, 0.6, 0.5), 2);
   network.addEndpoint(kA, {1e6, 1e6});
   network.addEndpoint(kB, {1e6, 1e6});
-  int delivered = 0;
-  for (int i = 0; i < 1000; ++i) {
-    network.sendMessage(kA, kB, [&] { ++delivered; });
+  EverySeventhDropped hook;
+  network.setFaultHook(&hook);
+  MessageProbe probe(sim);
+  constexpr std::uint64_t kMessages = 1000;
+  for (std::uint64_t id = 0; id < kMessages; ++id) {
+    network.sendMessage(kA, kB, MessageProbe::message(id));
   }
   sim.run();
-  EXPECT_EQ(network.messagesSent(), 1000u);
-  EXPECT_NEAR(static_cast<double>(network.messagesLost()), 500.0, 60.0);
-  EXPECT_EQ(delivered, 1000 - static_cast<int>(network.messagesLost()));
+  EXPECT_EQ(network.messagesSent(), kMessages);
+  EXPECT_EQ(network.messagesFaulted(), kMessages / 7);
+  EXPECT_NEAR(static_cast<double>(network.messagesLost()), 430.0, 60.0);
+  // Every message is either delivered once or discarded once, never both:
+  // lost and fault-dropped tags reach EventFactory::discard exactly once.
+  EXPECT_EQ(probe.discarded.size(),
+            network.messagesLost() + network.messagesFaulted());
+  std::vector<int> seen(kMessages, 0);
+  for (const MessageProbe::Delivery& d : probe.delivered) ++seen[d.id];
+  for (const auto& [id, calls] : probe.discarded) {
+    EXPECT_EQ(calls, 1) << "message " << id;
+    seen[id] += calls;
+  }
+  for (std::uint64_t id = 0; id < kMessages; ++id) {
+    EXPECT_EQ(seen[id], 1) << "message " << id;
+  }
 }
 
 }  // namespace

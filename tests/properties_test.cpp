@@ -63,7 +63,9 @@ TEST_P(SystemSeedSweep, InvariantsHoldUnderChurn) {
   if (kind == SystemKind::kPaVod) {
     EXPECT_EQ(result.prefetchIssued(), 0u);
     for (const auto& stats : result.linksByVideosWatched) {
-      if (stats.count() > 0) EXPECT_LE(stats.max(), 1.0);
+      if (stats.count() > 0) {
+        EXPECT_LE(stats.max(), 1.0);
+      }
     }
   }
 

@@ -7,6 +7,14 @@
 // faults and overload control. Also: a snapshot taken at --shards 8
 // restores at --shards 1 (and vice versa) byte-for-byte.
 //
+// An unsharded run is NOT bitwise-identical to --shards 1 in general: it
+// schedules every event from one root key, so same-instant events keep
+// their scheduling order instead of source-key order. At 2000 users and
+// seed 2, Fig. 16's SocialTube run ends with fingerprint ff3d4c94
+// unsharded and 42c834d2 at --shards 1 and 8. The unsharded comparisons
+// below hold only at this test's small scale; they guard the stack's
+// wiring, not a general equivalence.
+//
 // Carries the `shard` ctest label; scripts/check.sh runs the label under
 // TSan as the sharded-engine gate.
 #include <gtest/gtest.h>
@@ -69,13 +77,13 @@ class ShardEquality : public ::testing::TestWithParam<exp::SystemKind> {};
 TEST_P(ShardEquality, CalmRunMatchesSequential) {
   const exp::ExperimentConfig config = shardConfig();
   const exp::ExperimentResult sequential =
-      exp::runExperiment(config, GetParam());  // monolithic engine
+      exp::runExperiment(config, GetParam());  // unsharded
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
   // Sharded runs must agree with each other at every count...
   expectIdenticalResults(one, eight);
-  // ...and with the monolithic engine (the serial merge preserves the
-  // scheduling order the monolithic global sequence produces).
+  // ...and, at this small scale, with the unsharded run (see the header:
+  // not a general property).
   expectIdenticalResults(sequential, one);
   EXPECT_GT(eight.watches(), 0u);
 }
@@ -106,7 +114,7 @@ TEST_P(ShardEquality, GrayDeliveryRejoinRunMatchesSequential) {
       "rejoin:t=4500,frac=1";
   config.faults.auditInterval = 15 * sim::kMinute;
   const exp::ExperimentResult sequential =
-      exp::runExperiment(config, GetParam());  // monolithic engine
+      exp::runExperiment(config, GetParam());  // unsharded
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
   expectIdenticalResults(one, eight);

@@ -76,7 +76,8 @@ TEST(ConfigureShards, RejectsInvalidPlanWithMessage) {
   std::string error;
   EXPECT_FALSE(sim.configureShards(plan(3), &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(sim.sharded());
+  EXPECT_EQ(sim.shardPlan().keyCount, 1u);  // still the one-key plan
+  EXPECT_EQ(sim.shardCount(), 1u);
 }
 
 TEST(ConfigureShards, RejectsNonPristineSimulator) {
@@ -90,7 +91,7 @@ TEST(ConfigureShards, RejectsNonPristineSimulator) {
 TEST(ConfigureShards, AcceptsFreshSimulator) {
   Simulator sim;
   ASSERT_TRUE(sim.configureShards(plan(4)));
-  EXPECT_TRUE(sim.sharded());
+  EXPECT_EQ(sim.shardPlan().keyCount, 9u);
   EXPECT_EQ(sim.shardCount(), 4u);
 }
 
@@ -162,8 +163,8 @@ TEST(ShardedOrder, SameInstantFiresInSourceKeyOrder) {
 }
 
 TEST(ShardedOrder, MatchesUnshardedEventCount) {
-  // Ordering may legally differ from the monolithic engine (different
-  // stamp space); the set of fired events may not.
+  // Ordering may legally differ from the one-key plan (different stamp
+  // space); the set of fired events may not.
   Simulator mono;
   std::uint64_t monoFired = 0;
   for (int i = 0; i < 50; ++i) {
@@ -406,8 +407,9 @@ class LogFactory : public EventFactory {
     std::vector<std::uint64_t>* log = log_;
     return [log, value] { log->push_back(value); };
   }
-  void onRestored(const EventTag&, EventHandle handle) override {
+  bool onRestored(const EventTag&, EventHandle handle) override {
     restoredValid += handle.valid() ? 1 : 0;
+    return true;
   }
   int restoredValid = 0;
 
@@ -492,33 +494,44 @@ TEST(ShardedSnapshot, SavedAtEightRestoresAtOneBitForBit) {
   EXPECT_EQ(log, expected);
 }
 
-TEST(ShardedSnapshot, MonolithicFileRefusedBySharededRun) {
+// Saves one pending root-key event on `from` shards (0: the one-key plan)
+// and loads the file on `to` shards; returns the loader's error.
+std::string crossPlanLoadError(std::uint32_t from, std::uint32_t to) {
+  std::vector<std::uint64_t> log;
+  LogFactory factory(&log);
   snapshot::Writer saved;
   {
     Simulator sim;
-    std::vector<std::uint64_t> log;
-    LogFactory factory(&log);
     sim.registerFactory(Component::kSession, &factory);
+    if (from > 0 && !sim.configureShards(plan(from))) ADD_FAILURE();
     sim.scheduleTagged(kMillisecond,
                        makeTag(Component::kSession, /*kind=*/1, /*a=*/1));
     std::string error;
-    ASSERT_TRUE(sim.saveState(saved, &error)) << error;
+    if (!sim.saveState(saved, &error)) ADD_FAILURE() << error;
   }
   const std::string path = ::testing::TempDir() + "st_shard_mismatch.bin";
   std::string error;
-  ASSERT_TRUE(saved.writeFile(path, &error)) << error;
+  if (!saved.writeFile(path, &error)) ADD_FAILURE() << error;
   std::vector<std::uint8_t> file;
-  ASSERT_TRUE(snapshot::Reader::readFile(path, &file, &error)) << error;
+  if (!snapshot::Reader::readFile(path, &file, &error)) ADD_FAILURE() << error;
   std::remove(path.c_str());
   snapshot::Reader r(std::move(file));
 
   Simulator sim;
-  std::vector<std::uint64_t> log;
-  LogFactory factory(&log);
   sim.registerFactory(Component::kSession, &factory);
-  ASSERT_TRUE(sim.configureShards(plan(2)));
+  if (to > 0 && !sim.configureShards(plan(to))) ADD_FAILURE();
   EXPECT_FALSE(sim.loadState(r));
-  EXPECT_NE(r.error().find("--shards"), std::string::npos) << r.error();
+  return r.error();
+}
+
+TEST(ShardedSnapshot, MonolithicFileRefusedBySharededRun) {
+  const std::string error = crossPlanLoadError(/*from=*/0, /*to=*/2);
+  EXPECT_NE(error.find("--shards"), std::string::npos) << error;
+}
+
+TEST(ShardedSnapshot, ShardedFileRefusedByUnshardedRun) {
+  const std::string error = crossPlanLoadError(/*from=*/2, /*to=*/0);
+  EXPECT_NE(error.find("--shards"), std::string::npos) << error;
 }
 
 TEST(ShardedSnapshot, UntaggedPendingEventRefusedWithMessage) {

@@ -297,16 +297,23 @@ ExperimentConfig goldenConfig() {
   return config;
 }
 
-// The committed golden snapshot (tests/data/golden_v1.snap) was written by
-// this very config with the save point at t=1h. Two regressions are caught
-// here: a codec/layout change that forgets to bump kFormatVersion (the CRC
-// or section parse breaks), and a version bump that forgets to regenerate
-// the golden (the header check refuses the file). Regenerate with:
+// The committed golden snapshot (tests/data/golden_v<kFormatVersion>.snap)
+// was written by this very config with the save point at t=1h. Two
+// regressions are caught here: a codec/layout change that forgets to bump
+// kFormatVersion (the CRC or section parse breaks), and a version bump that
+// forgets to commit a golden for the new version (the file is missing).
+// Generate it with:
 //   ST_REGEN_GOLDEN=1 ./tests/snapshot_test
-//       --gtest_filter=GoldenSnapshot.V1FileStillRestores
-TEST(GoldenSnapshot, V1FileStillRestores) {
+//       --gtest_filter=GoldenSnapshot.CurrentVersionFileStillRestores
+// Older goldens stay committed as refusal fixtures (see below).
+std::string goldenPath(std::uint32_t version) {
+  return std::string(ST_TEST_DATA_DIR) + "/golden_v" +
+         std::to_string(version) + ".snap";
+}
+
+TEST(GoldenSnapshot, CurrentVersionFileStillRestores) {
   const ExperimentConfig config = goldenConfig();
-  const std::string path = std::string(ST_TEST_DATA_DIR) + "/golden_v1.snap";
+  const std::string path = goldenPath(snapshot::kFormatVersion);
   const sim::SimTime saveAt = sim::kHour;
 
   if (std::getenv("ST_REGEN_GOLDEN") != nullptr) {
@@ -353,6 +360,16 @@ TEST(GoldenSnapshot, V1FileStillRestores) {
   EXPECT_EQ(restored.overlayFingerprint, baseline.overlayFingerprint);
   EXPECT_EQ(restored.startupDelayMs.mean(), baseline.startupDelayMs.mean());
   EXPECT_EQ(restored.uploadGini, baseline.uploadGini);
+}
+
+// Version 1 kept the unsharded queue in its own section; a version-1 file
+// is refused by its header, before any section is parsed.
+TEST(GoldenSnapshot, V1FileIsRefusedByVersion) {
+  RestoreStack stack(goldenConfig(), SystemKind::kSocialTube);
+  std::string error;
+  EXPECT_FALSE(snapshot::restore(goldenPath(1), stack.participants(),
+                                 stack.compat(), &error));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
 }  // namespace

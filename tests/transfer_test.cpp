@@ -31,6 +31,7 @@ TEST_F(TransferTest, ServerWatchDeliversPlaybackThenBody) {
       .video = kVideo,
       .provider = UserId::invalid(),
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack_.sim().run();
@@ -51,6 +52,7 @@ TEST_F(TransferTest, PeerWatchCreditsPeer) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack_.sim().run();
@@ -68,6 +70,7 @@ TEST_F(TransferTest, PlaybackDelayEqualsFirstChunkTime) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack_.sim().run();
@@ -84,6 +87,7 @@ TEST_F(TransferTest, PrefetchHitStartsPlaybackImmediately) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = true,
+      .extraProviders = {},
       .requestTime = stack_.sim().now(),
   });
   // Playback reports synchronously inside startWatch.
@@ -101,6 +105,7 @@ TEST_F(TransferTest, ProviderChurnFailsOverToServerWithSplitCredit) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   // Bob leaves mid-body: after ~3 s, the first chunk (0.5 s at 1 Mbps) is
@@ -131,6 +136,7 @@ TEST_F(TransferTest, FirstChunkTimeoutAbandonsWatch) {
       .video = kVideo,
       .provider = UserId::invalid(),
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack.sim().run();
@@ -147,6 +153,7 @@ TEST_F(TransferTest, UserOfflineKillsOwnWatchSilently) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack_.sim().schedule(10 * sim::kMillisecond, [&] {
@@ -166,6 +173,7 @@ TEST_F(TransferTest, DemotedWatchStillCompletesInBackground) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   // A second watch starts while the first body is still flowing.
@@ -175,6 +183,7 @@ TEST_F(TransferTest, DemotedWatchStillCompletesInBackground) {
         .video = VideoId{1},
         .provider = kBob,
         .firstChunkCached = false,
+        .extraProviders = {},
         .requestTime = stack_.sim().now(),
     });
   });
@@ -227,6 +236,7 @@ TEST_F(TransferTest, SingleChunkVideoFinishesAtPlayback) {
       .video = kVideo,
       .provider = kBob,
       .firstChunkCached = false,
+      .extraProviders = {},
       .requestTime = 0,
   });
   stack.sim().run();
