@@ -33,13 +33,13 @@ inline trace::Catalog crawlScaleCatalog(const Flags& flags) {
   trace::GeneratorParams params;
   params.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   params.numUsers =
-      static_cast<std::size_t>(flags.getInt("users", 2'031));
+      static_cast<std::size_t>(flags.getInt("users", 2'031, 1));
   params.numChannels =
-      static_cast<std::size_t>(flags.getInt("channels", 545));
+      static_cast<std::size_t>(flags.getInt("channels", 545, 1));
   // The crawl saw 261,101 videos; default to a computationally friendly
   // subset with the same per-channel shape (override with --videos).
   params.numVideos =
-      static_cast<std::size_t>(flags.getInt("videos", 20'000));
+      static_cast<std::size_t>(flags.getInt("videos", 20'000, 0));
   return trace::generateTrace(params);
 }
 
@@ -106,9 +106,9 @@ inline exp::ExperimentConfig experimentConfig(const Flags& flags) {
                 : exp::ExperimentConfig::simulationDefaults(seed);
   if (!flags.getBool("full", false)) {
     const auto users = static_cast<std::size_t>(
-        flags.getInt("users", planetlab ? 250 : 1'500));
+        flags.getInt("users", planetlab ? 250 : 1'500, 1));
     const auto sessions = static_cast<std::size_t>(
-        flags.getInt("sessions", planetlab ? 10 : 8));
+        flags.getInt("sessions", planetlab ? 10 : 8, 0));
     config = config.scaledTo(users, sessions);
     if (planetlab) config.vod.serverUploadBps = 5'000'000.0;
   }

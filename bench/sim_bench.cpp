@@ -205,8 +205,9 @@ double seconds(std::chrono::steady_clock::duration d) {
 // Rounds of: arm `batch` timers with a realistic 32-byte capture, then
 // disarm all of them before they fire — the timeout-that-doesn't-expire
 // pattern (phase deadlines, transfer timeouts: the awaited reply almost
-// always arrives first). Ops = schedules + cancels; the runUntil per round
-// sweeps the disarmed entries out of the queue.
+// always arrives first). Ops = schedules + cancels. The legacy scheduler
+// leaves the disarmed entries queued for the runUntil per round to sweep
+// out; the indexed heap removes them at cancel.
 template <typename Sim, typename Handle>
 double scheduleCancelOpsPerSec(std::uint64_t* sinkOut) {
   constexpr int kRounds = 150;
@@ -220,7 +221,8 @@ double scheduleCancelOpsPerSec(std::uint64_t* sinkOut) {
 
   // Standing far-future timers: the deep heap a real run carries at all
   // times (probe timers, session ends for every online user). They are
-  // never fired inside the bench — every churn push/purge sifts past them.
+  // never fired inside the bench — every churn push, cancel and purge
+  // sifts past them.
   for (int i = 0; i < kStanding; ++i) {
     sim.schedule(static_cast<SimTime>(1'000'000'000 + i), [&sink] { ++sink; });
   }

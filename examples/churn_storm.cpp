@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
-  const auto users = static_cast<std::size_t>(flags.getInt("users", 800));
+  const auto users = static_cast<std::size_t>(flags.getInt("users", 800, 1));
   const double abrupt = flags.getDouble("abrupt", 0.8);
   const std::size_t threads =
       st::resolveThreadCount(flags.getInt("threads", 0), 1);

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 7));
-  const auto users = static_cast<std::size_t>(flags.getInt("users", 400));
+  const auto users = static_cast<std::size_t>(flags.getInt("users", 400, 1));
   const std::size_t threads =
       st::resolveThreadCount(flags.getInt("threads", 0), 1);
   const double serverKbpsPerUser =

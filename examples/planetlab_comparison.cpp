@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   const auto sessions =
-      static_cast<std::size_t>(flags.getInt("sessions", 10));
+      static_cast<std::size_t>(flags.getInt("sessions", 10, 0));
   const std::size_t threads =
       st::resolveThreadCount(flags.getInt("threads", 0), 1);
   const std::string snapshotOut = flags.getString("snapshot-out", "");

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
       planetlab ? st::exp::ExperimentConfig::planetLabDefaults(seed)
                 : st::exp::ExperimentConfig::simulationDefaults(seed);
   const auto users = static_cast<std::size_t>(
-      flags.getInt("users", planetlab ? 250 : 1500));
+      flags.getInt("users", planetlab ? 250 : 1500, 1));
   const auto sessions =
-      static_cast<std::size_t>(flags.getInt("sessions", 8));
+      static_cast<std::size_t>(flags.getInt("sessions", 8, 0));
   config = config.scaledTo(users, sessions);
 
   std::printf("SocialTube quickstart — %zu users, %zu channels, %zu videos, "

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   params.numChannels = 545;
   params.numVideos = 20'000;
   params = params.scaledTo(
-      static_cast<std::size_t>(flags.getInt("users", 2'031)));
+      static_cast<std::size_t>(flags.getInt("users", 2'031, 1)));
   params.seed = static_cast<std::uint64_t>(flags.getInt("seed", 7));
   const auto maxCrawl =
       static_cast<std::size_t>(flags.getInt("max-crawl", 0));

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the unit-label tests with structured tracing compiled IN and
-# OUT, build the end-to-end benchmark, then run the tests once more under the
+# OUT, build the end-to-end benchmark and pin its seed-7 event counts and
+# fingerprints, then run the tests once more under the
 # combined ASan+UBSan sanitizers, and finally under TSan. All four modes must stay green: ST_TRACE=OFF proves every
 # ST_TRACE() call site compiles away cleanly (no stray side effects in macro
 # arguments), the trace tests themselves flip behavior on ST_TRACE_ENABLED,
@@ -67,6 +68,34 @@ build-trace-on/bench/shard_bench /dev/null --smoke
 echo "=== e2ebench build (build-e2e) ==="
 cmake -B build-e2e -S e2ebench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-e2e -j "$JOBS"
+
+# Pin bitwise behaviour at the benchmark's scale (1000 users, 3 simulated
+# days), which the small baseline_regression_test runs do not reach, and
+# exercise the traced pass, which wraps every event factory: both workloads
+# must report "correct": true, and every repeat must show exactly these
+# event counts and overlay fingerprints.
+echo "=== e2e_bench bitwise pin, seed 7 (build-e2e) ==="
+E2E_PINS=(
+  "events 4352051, PA-VoD=483c9874 SocialTube=8443b51e NetTube=35430207,"
+  "events 2702896, SocialTube=2d265243,"
+)
+e2e_fail() {
+  echo "$E2E_OUT"
+  echo "e2e pin: $1" >&2
+  exit 1
+}
+E2E_OUT="$(build-e2e/e2e_bench --workload fig16,churn-storm --seed 7 \
+  --seconds 1 --trace 1)" || e2e_fail "e2e_bench exited non-zero"
+[[ "$(grep -c '"correct": true' <<<"$E2E_OUT")" == 2 ]] ||
+  e2e_fail 'expected two "correct": true results'
+for PIN in "${E2E_PINS[@]}"; do
+  grep -qF "$PIN" <<<"$E2E_OUT" || e2e_fail "no repeat shows '$PIN'"
+done
+if grep '^repeat' <<<"$E2E_OUT" |
+    grep -vqF -e "${E2E_PINS[0]}" -e "${E2E_PINS[1]}"; then
+  e2e_fail "a repeat differs from the pinned event counts and fingerprints"
+fi
+grep -E '^(repeat|fidelity)' <<<"$E2E_OUT"
 
 # Seed-sweep chaos soak (scripts/soak.sh): ST_SOAK_SEEDS seeds × fault
 # matrix × trace ON/OFF over churn_storm. Minutes of runtime, so it is

@@ -102,20 +102,21 @@ void FlowNetwork::settle(Flow& flow) {
 }
 
 void FlowNetwork::reschedule(Flow& flow) {
-  if (flow.completion.valid()) sim_.cancel(flow.completion);
   flow.rateBps = fairRate(flow);
   if (flow.rateBps <= 0.0) {
     // Zero-capacity endpoint: flow stalls until topology changes again. The
     // caller is expected to give every endpoint nonzero capacity, but a
     // stalled flow must not schedule a completion at time infinity.
+    sim_.cancel(flow.completion);
     flow.completion = sim::EventHandle{};
     return;
   }
   const double seconds = flow.bytesRemaining * 8.0 / flow.rateBps;
   const auto delay =
       std::max<sim::SimTime>(sim::fromSeconds(seconds), 0);
-  flow.completion = sim_.scheduleTagged(
-      delay,
+  // Moves a queued completion in place: no closure rebuild, no dead entry.
+  flow.completion = sim_.retimeTagged(
+      flow.completion, delay,
       sim::makeTag(sim::Component::kFlow, kFinishEvent, flow.id.value()));
 }
 

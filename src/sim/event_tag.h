@@ -70,6 +70,7 @@ struct EventTag {
   [[nodiscard]] bool tagged() const {
     return component != static_cast<std::uint8_t>(Component::kNone);
   }
+  bool operator==(const EventTag&) const = default;
 };
 static_assert(sizeof(EventTag) == 40);
 

@@ -103,6 +103,91 @@ std::uint64_t Simulator::nextStamp(std::uint32_t srcKey) {
   return (static_cast<std::uint64_t>(srcKey) << kKeySeqBits) | seq++;
 }
 
+void Simulator::ShardState::place(std::size_t pos, const HeapEntry& entry) {
+  heap[pos] = entry;
+  heapPos[entry.slot] = static_cast<std::uint32_t>(pos);
+}
+
+std::size_t Simulator::ShardState::earliestChild(std::size_t first) const {
+  const std::size_t last = std::min(first + kHeapArity, heap.size());
+  std::size_t best = first;
+  for (std::size_t child = first + 1; child < last; ++child) {
+    if (heap[child] < heap[best]) best = child;
+  }
+  return best;
+}
+
+void Simulator::ShardState::siftUp(std::size_t pos, const HeapEntry& entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / kHeapArity;
+    if (!(entry < heap[parent])) break;
+    place(pos, heap[parent]);
+    pos = parent;
+  }
+  place(pos, entry);
+}
+
+void Simulator::ShardState::siftDown(std::size_t pos, const HeapEntry& entry) {
+  for (std::size_t first = pos * kHeapArity + 1; first < heap.size();
+       first = pos * kHeapArity + 1) {
+    const std::size_t child = earliestChild(first);
+    if (!(heap[child] < entry)) break;
+    place(pos, heap[child]);
+    pos = child;
+  }
+  place(pos, entry);
+}
+
+void Simulator::ShardState::refill(std::size_t pos, const HeapEntry& entry) {
+  if (pos > 0 && entry < heap[(pos - 1) / kHeapArity]) {
+    siftUp(pos, entry);
+  } else {
+    siftDown(pos, entry);
+  }
+}
+
+void Simulator::ShardState::push(const HeapEntry& entry) {
+  heap.emplace_back();
+  siftUp(heap.size() - 1, entry);
+}
+
+Simulator::HeapEntry Simulator::ShardState::pop() {
+  const HeapEntry top = heap.front();
+  heapPos[top.slot] = kNotQueued;
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (heap.empty()) return top;
+  // Bottom-up, like std::pop_heap: walk the root's hole down to a leaf
+  // along the earliest children, then sift the old last entry up from
+  // there — it nearly always belongs near the bottom, so this saves a
+  // comparison per level over a top-down sift.
+  std::size_t hole = 0;
+  for (std::size_t first = 1; first < heap.size();
+       first = hole * kHeapArity + 1) {
+    const std::size_t child = earliestChild(first);
+    place(hole, heap[child]);
+    hole = child;
+  }
+  siftUp(hole, last);
+  return top;
+}
+
+void Simulator::ShardState::erase(std::uint32_t slot) {
+  const std::size_t pos = heapPos[slot];
+  assert(pos < heap.size() && heap[pos].slot == slot);
+  heapPos[slot] = kNotQueued;
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) refill(pos, last);
+}
+
+void Simulator::ShardState::rekey(std::uint32_t slot, SimTime when,
+                                  std::uint64_t stamp) {
+  const std::size_t pos = heapPos[slot];
+  assert(pos < heap.size() && heap[pos].slot == slot);
+  refill(pos, HeapEntry{when, stamp, slot});
+}
+
 std::uint32_t Simulator::allocSlot(ShardState& shard) {
   if (shard.freeHead != kNoFree) {
     const std::uint32_t index = shard.freeHead;
@@ -114,17 +199,19 @@ std::uint32_t Simulator::allocSlot(ShardState& shard) {
   assert(index <= kSlotIndexMask && "shard arena exceeds the handle packing");
   shard.slots.emplace_back();
   shard.tags.emplace_back();
+  shard.heapPos.push_back(kNotQueued);
   return index;
 }
 
 void Simulator::releaseSlot(ShardState& shard, std::uint32_t index) {
+  assert(shard.heapPos[index] == kNotQueued);
   Slot& slot = shard.slots[index];
   slot.fn.reset();
   slot.period = 0;
   slot.destKey = 0;
   shard.tags[index] = EventTag{};
-  // The bump invalidates every outstanding handle and heap entry for the
-  // old occupant; 0 is reserved for never-scheduled handles.
+  // The bump invalidates every outstanding handle for the old occupant; 0
+  // is reserved for never-scheduled handles.
   if (++slot.gen == 0) slot.gen = 1;
   slot.nextFree = shard.freeHead;
   shard.freeHead = index;
@@ -140,7 +227,7 @@ EventHandle Simulator::enqueueInShard(ShardState& shard, SimTime when,
   slot.period = period;
   slot.destKey = destKey;
   shard.tags[index] = tag;
-  shard.queue.push(HeapEntry{when, stamp, index, slot.gen});
+  shard.push(HeapEntry{when, stamp, index});
   ++shard.live;
   const auto shardIndex =
       static_cast<std::uint32_t>(&shard - shards_.data());
@@ -205,15 +292,18 @@ EventHandle Simulator::scheduleForKey(std::uint32_t destKey, SimTime delay,
                  destKey);
 }
 
-EventHandle Simulator::scheduleForKeyTagged(std::uint32_t destKey,
-                                            SimTime delay,
-                                            const EventTag& tag) {
+Callback Simulator::build(const EventTag& tag) const {
   EventFactory* factory =
       factories_[static_cast<std::size_t>(tag.component)];
   assert(tag.tagged() && factory != nullptr &&
          "tagged event without a registered factory");
-  return enqueue(now() + delay, factory->rebuild(tag), /*period=*/0, tag,
-                 destKey);
+  return factory->rebuild(tag);
+}
+
+EventHandle Simulator::scheduleForKeyTagged(std::uint32_t destKey,
+                                            SimTime delay,
+                                            const EventTag& tag) {
+  return enqueue(now() + delay, build(tag), /*period=*/0, tag, destKey);
 }
 
 EventHandle Simulator::scheduleTagged(SimTime delay, const EventTag& tag) {
@@ -221,24 +311,14 @@ EventHandle Simulator::scheduleTagged(SimTime delay, const EventTag& tag) {
 }
 
 EventHandle Simulator::scheduleAtTagged(SimTime when, const EventTag& tag) {
-  EventFactory* factory =
-      factories_[static_cast<std::size_t>(tag.component)];
-  assert(tag.tagged() && factory != nullptr &&
-         "tagged event without a registered factory");
-  return enqueue(when, factory->rebuild(tag), /*period=*/0, tag,
-                 currentKey());
+  return enqueue(when, build(tag), /*period=*/0, tag, currentKey());
 }
 
 EventHandle Simulator::schedulePeriodicTagged(SimTime period,
                                               const EventTag& tag) {
   assert(period > 0);
-  EventFactory* factory =
-      factories_[static_cast<std::size_t>(tag.component)];
-  assert(tag.tagged() && factory != nullptr &&
-         "tagged event without a registered factory");
   ++shards_[plan_.shardOf(currentKey())].periodicLive;
-  return enqueue(now() + period, factory->rebuild(tag), period, tag,
-                 currentKey());
+  return enqueue(now() + period, build(tag), period, tag, currentKey());
 }
 
 void Simulator::discardTagged(const EventTag& tag) {
@@ -248,13 +328,7 @@ void Simulator::discardTagged(const EventTag& tag) {
   if (factory != nullptr) factory->discard(tag);
 }
 
-void Simulator::invokeTagged(const EventTag& tag) {
-  EventFactory* factory =
-      factories_[static_cast<std::size_t>(tag.component)];
-  assert(tag.tagged() && factory != nullptr &&
-         "tagged invocation without a registered factory");
-  factory->rebuild(tag)();
-}
+void Simulator::invokeTagged(const EventTag& tag) { build(tag)(); }
 
 void Simulator::cancel(EventHandle handle) {
   if (!handle.valid()) return;
@@ -266,8 +340,33 @@ void Simulator::cancel(EventHandle handle) {
   Slot& slot = shard.slots[index];
   if (slot.gen != handle.gen_) return;  // already fired or cancelled
   if (slot.period > 0) --shard.periodicLive;
+  // A periodic series is out of the heap while its callback runs.
+  if (shard.heapPos[index] != kNotQueued) shard.erase(index);
   releaseSlot(shard, index);
   --shard.live;
+}
+
+EventHandle Simulator::retimeTagged(EventHandle handle, SimTime delay,
+                                    const EventTag& tag) {
+  assert(delay >= 0);
+  const std::uint32_t shardIndex = handle.slot_ >> kSlotIndexBits;
+  if (handle.valid() && tlsWindow.sim != this &&
+      shardIndex == plan_.shardOf(currentKey_)) {
+    ShardState& shard = shards_[shardIndex];
+    const std::uint32_t index = handle.slot_ & kSlotIndexMask;
+    Slot& slot = shard.slots[index];
+    // A live one-shot is always queued: firing releases it first. An
+    // unchanged tag keeps the closure, as rebuild() is a pure function of
+    // the tag.
+    if (slot.gen == handle.gen_ && slot.period == 0 &&
+        shard.tags[index] == tag) {
+      slot.destKey = currentKey_;
+      shard.rekey(index, now_ + delay, nextStamp(currentKey_));
+      return handle;
+    }
+  }
+  cancel(handle);
+  return scheduleTagged(delay, tag);
 }
 
 void Simulator::fire(ShardState& shard, const HeapEntry& entry) {
@@ -277,14 +376,14 @@ void Simulator::fire(ShardState& shard, const HeapEntry& entry) {
     // Move the callback out for the call: it may cancel its own series
     // (which resets the slot) without destroying a running closure, and
     // it may schedule new events (which can reallocate the arena).
+    const std::uint32_t gen = slot->gen;
     Callback fn = std::move(slot->fn);
     fn();
     slot = &shard.slots[entry.slot];
-    if (slot->gen == entry.gen) {
+    if (slot->gen == gen) {
       slot->fn = std::move(fn);
-      shard.queue.push(HeapEntry{entry.when + slot->period,
-                                 nextStamp(slot->destKey), entry.slot,
-                                 entry.gen});
+      shard.push(HeapEntry{entry.when + slot->period,
+                           nextStamp(slot->destKey), entry.slot});
     }
     return;
   }
@@ -296,43 +395,21 @@ void Simulator::fire(ShardState& shard, const HeapEntry& entry) {
   fn();
 }
 
-// Fires the canonically next live event of `shard`, updating the serial
-// clock and ambient key. Returns false if the shard had only stale entries.
-bool Simulator::fireNextIn(ShardState& shard) {
-  while (!shard.queue.empty()) {
-    const HeapEntry entry = shard.queue.top();
-    shard.queue.pop();
-    const Slot& slot = shard.slots[entry.slot];
-    if (slot.gen != entry.gen) continue;  // cancelled
-    now_ = entry.when;
-    shard.localNow = entry.when;
-    currentKey_ = slot.destKey;
-    fire(shard, entry);
-    return true;
-  }
-  return false;
-}
-
-void Simulator::purgeStale(ShardState& shard) {
-  while (!shard.queue.empty()) {
-    const HeapEntry& entry = shard.queue.top();
-    if (shard.slots[entry.slot].gen == entry.gen) return;
-    shard.queue.pop();
-  }
+// Fires the canonically next event of the non-empty `shard`, updating the
+// serial clock and ambient key.
+void Simulator::fireNextIn(ShardState& shard) {
+  const HeapEntry entry = shard.pop();
+  now_ = entry.when;
+  shard.localNow = entry.when;
+  currentKey_ = shard.slots[entry.slot].destKey;
+  fire(shard, entry);
 }
 
 Simulator::ShardState* Simulator::nextShardSerial() {
   ShardState* best = nullptr;
   for (ShardState& shard : shards_) {
-    purgeStale(shard);
-    if (shard.queue.empty()) continue;
-    if (best == nullptr) {
-      best = &shard;
-      continue;
-    }
-    const HeapEntry& a = shard.queue.top();
-    const HeapEntry& b = best->queue.top();
-    if (a.when < b.when || (a.when == b.when && a.stamp < b.stamp)) {
+    if (shard.heap.empty()) continue;
+    if (best == nullptr || shard.heap.front() < best->heap.front()) {
       best = &shard;
     }
   }
@@ -343,8 +420,9 @@ std::uint64_t Simulator::runUntilSerial(SimTime until) {
   std::uint64_t count = 0;
   for (;;) {
     ShardState* shard = nextShardSerial();
-    if (shard == nullptr || shard->queue.top().when > until) break;
-    if (fireNextIn(*shard)) ++count;
+    if (shard == nullptr || shard->heap.front().when > until) break;
+    fireNextIn(*shard);
+    ++count;
   }
   if (now_ < until) now_ = until;
   currentKey_ = 0;
@@ -384,11 +462,8 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
       return;
     }
     SimTime next = kNoEvent;
-    for (ShardState& shard : shards_) {
-      purgeStale(shard);
-      if (!shard.queue.empty()) {
-        next = std::min(next, shard.queue.top().when);
-      }
+    for (const ShardState& shard : shards_) {
+      if (!shard.heap.empty()) next = std::min(next, shard.heap.front().when);
     }
     if (next == kNoEvent || next > until) {
       stopFlag = true;
@@ -408,17 +483,12 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
         for (std::size_t s = worker; s < shardN; s += workerN) {
           ShardState& shard = shards_[s];
           tlsWindow.shardIndex = static_cast<std::uint32_t>(s);
-          while (!shard.queue.empty()) {
-            const HeapEntry entry = shard.queue.top();
-            const Slot& slot = shard.slots[entry.slot];
-            if (slot.gen != entry.gen) {
-              shard.queue.pop();
-              continue;
-            }
-            if (entry.when >= winEnd || entry.when > until) break;
-            shard.queue.pop();
+          while (!shard.heap.empty()) {
+            const SimTime when = shard.heap.front().when;
+            if (when >= winEnd || when > until) break;
+            const HeapEntry entry = shard.pop();
             shard.localNow = entry.when;
-            tlsWindow.key = slot.destKey;
+            tlsWindow.key = shard.slots[entry.slot].destKey;
             fire(shard, entry);
           }
         }
@@ -457,10 +527,9 @@ std::uint64_t Simulator::runUntil(SimTime until) {
 
 std::uint64_t Simulator::run() {
   std::uint64_t count = 0;
-  for (;;) {
-    ShardState* shard = nextShardSerial();
-    if (shard == nullptr) break;
-    if (fireNextIn(*shard)) ++count;
+  while (ShardState* shard = nextShardSerial()) {
+    fireNextIn(*shard);
+    ++count;
   }
   currentKey_ = 0;
   return count;
@@ -468,12 +537,13 @@ std::uint64_t Simulator::run() {
 
 bool Simulator::step() {
   ShardState* shard = nextShardSerial();
-  return shard != nullptr && fireNextIn(*shard);
+  if (shard == nullptr) return false;
+  fireNextIn(*shard);
+  return true;
 }
 
 bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
-  // Drain a copy of each shard's heap: pops come out (when, stamp)-sorted,
-  // stale entries are skipped, and the live arenas stay untouched.
+  // Every heap entry is a live event; the sort below orders them.
   struct Pending {
     HeapEntry entry;
     SimTime period;
@@ -483,11 +553,7 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
   std::vector<Pending> pending;
   pending.reserve(pendingEvents());
   for (const ShardState& shard : shards_) {
-    std::priority_queue<HeapEntry> copy = shard.queue;
-    while (!copy.empty()) {
-      const HeapEntry entry = copy.top();
-      copy.pop();
-      if (shard.slots[entry.slot].gen != entry.gen) continue;  // cancelled
+    for (const HeapEntry& entry : shard.heap) {
       const EventTag& tag = shard.tags[entry.slot];
       if (!tag.tagged()) {
         if (error != nullptr) {
@@ -506,10 +572,7 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
   // restore) are identical at every shard count.
   std::sort(pending.begin(), pending.end(),
             [](const Pending& a, const Pending& b) {
-              if (a.entry.when != b.entry.when) {
-                return a.entry.when < b.entry.when;
-              }
-              return a.entry.stamp < b.entry.stamp;
+              return a.entry < b.entry;
             });
   w.section(0x4d495353);  // "SSIM"
   w.i64(now_);
@@ -595,7 +658,7 @@ bool Simulator::loadState(snapshot::Reader& r) {
     }
     ShardState& shard = shards_[plan_.shardOf(destKey)];
     const EventHandle handle = enqueueInShard(
-        shard, when, stamp, factory->rebuild(tag), period, tag, destKey);
+        shard, when, stamp, build(tag), period, tag, destKey);
     if (period > 0) ++shard.periodicLive;
     if (!factory->onRestored(tag, handle)) {
       r.fail("pending event (component " + std::to_string(tag.component) +

@@ -6,12 +6,14 @@
 // scheduled for the same instant fire in stamp order, which makes runs
 // reproducible regardless of heap internals.
 //
-// Storage is a generation-stamped slot arena: callbacks live in recycled
-// slots, the binary heap holds only small POD entries, and an EventHandle is
-// a (slot, generation) pair. cancel() is O(1) slot invalidation — the heap
-// entry turns stale and is skipped when popped — and a handle kept after its
-// event fired can never cancel an unrelated later event that reused the
-// slot, because the generation no longer matches.
+// Storage is a generation-stamped slot arena beside an indexed 4-ary
+// min-heap per shard: callbacks live in recycled slots, the heap holds one
+// small POD entry per live event, and every slot records its heap position.
+// An EventHandle is a (slot, generation) pair. cancel() removes the event's
+// entry in O(log n) and retimeTagged() moves it in place, so the heap never
+// holds a dead entry; a handle kept after its event fired can never cancel
+// an unrelated later event that reused the slot, because the generation no
+// longer matches.
 //
 // There is one engine (DESIGN.md §13). A fresh simulator runs the one-key
 // plan: a single root key 0 on a single shard, so the stamp is a plain
@@ -32,7 +34,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,7 @@ class EventHandle {
   EventHandle() = default;
 
   [[nodiscard]] bool valid() const { return gen_ != 0; }
+  bool operator==(const EventHandle&) const = default;
 
  private:
   friend class Simulator;
@@ -160,9 +162,18 @@ class Simulator {
   bool saveState(snapshot::Writer& w, std::string* error) const;
   bool loadState(snapshot::Reader& r);
 
-  // O(1). Releases the event's slot (and, for a periodic series, its state)
-  // immediately; no-op on invalid or stale handles.
+  // O(log n). Removes the event from the queue and releases its slot (and,
+  // for a periodic series, its state) immediately; no-op on invalid or
+  // stale handles.
   void cancel(EventHandle handle);
+  // Exactly cancel(handle) followed by scheduleTagged(delay, tag): one stamp
+  // from currentKey(), which also becomes the owner key, so the fire order
+  // is the same. A live one-shot with the same tag, on the shard
+  // scheduleTagged would pick, is re-keyed in place (outside parallel
+  // windows) and keeps its handle and closure; anything else is cancelled
+  // and scheduled afresh. Callers store the returned handle.
+  EventHandle retimeTagged(EventHandle handle, SimTime delay,
+                           const EventTag& tag);
 
   // Runs events until the queue is empty or the clock passes `until`.
   // Events at exactly `until` still run. Returns the number of events fired.
@@ -187,6 +198,12 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
+  // Heap position of a slot that has no heap entry: free, or a periodic
+  // series whose callback is running.
+  static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
+  // Children per heap node: half the depth of a binary heap, and a node's
+  // children sit side by side in memory.
+  static constexpr std::size_t kHeapArity = 4;
   // EventHandle slot packing: low bits index the shard arena, high bits
   // name the shard (up to ShardSpec::kMaxShards = 2^8).
   static constexpr std::uint32_t kSlotIndexBits = 24;
@@ -198,7 +215,7 @@ class Simulator {
       (std::uint64_t{1} << kKeySeqBits) - 1;
 
   // Arena slot: owns the callback; `gen` is bumped on every release so
-  // outstanding handles and heap entries for the old occupant go stale.
+  // outstanding handles for the old occupant go stale.
   struct Slot {
     Callback fn;
     SimTime period = 0;  // > 0: periodic series, re-enqueued after each fire
@@ -209,17 +226,17 @@ class Simulator {
   };
 
   // Heap entries are small PODs; the callback stays in the arena. `stamp`
-  // is the canonical tie-break, (owner key << 40) | per-key sequence.
+  // is the canonical tie-break, (owner key << 40) | per-key sequence, and
+  // unique, so (when, stamp) is a strict order.
   struct HeapEntry {
     SimTime when;
     std::uint64_t stamp;
     std::uint32_t slot;  // arena index within the owning shard
-    std::uint32_t gen;
 
-    // std::priority_queue is a max-heap; invert for earliest-first.
+    // True when this entry fires first.
     bool operator<(const HeapEntry& other) const {
-      if (when != other.when) return when > other.when;
-      return stamp > other.stamp;
+      if (when != other.when) return when < other.when;
+      return stamp < other.stamp;
     }
   };
 
@@ -239,8 +256,11 @@ class Simulator {
   struct ShardState {
     std::vector<Slot> slots;
     std::vector<EventTag> tags;
+    // Per slot: index of its entry in `heap`, or kNotQueued.
+    std::vector<std::uint32_t> heapPos;
     std::uint32_t freeHead = kNoFree;
-    std::priority_queue<HeapEntry> queue;
+    // Min-heap over (when, stamp) holding exactly the queued live events.
+    std::vector<HeapEntry> heap;
     // Clock of the event this shard is currently executing (parallel
     // windows let shards advance independently inside a window).
     SimTime localNow = 0;
@@ -252,12 +272,30 @@ class Simulator {
     std::uint64_t belowFloor = 0;
     // Parallel-window mailbox for cross-shard posts made by this shard.
     std::vector<CrossEvent> outbox;
+
+    void push(const HeapEntry& entry);
+    // Removes and returns the earliest entry; the heap must be non-empty.
+    HeapEntry pop();
+    // Removes the entry of `slot`, which must be queued.
+    void erase(std::uint32_t slot);
+    // Gives the queued entry of `slot` a new (when, stamp) in place.
+    void rekey(std::uint32_t slot, SimTime when, std::uint64_t stamp);
+
+   private:
+    void place(std::size_t pos, const HeapEntry& entry);
+    [[nodiscard]] std::size_t earliestChild(std::size_t first) const;
+    void siftUp(std::size_t pos, const HeapEntry& entry);
+    void siftDown(std::size_t pos, const HeapEntry& entry);
+    // Fills the hole at `pos` with `entry`, moving it up or down.
+    void refill(std::size_t pos, const HeapEntry& entry);
   };
 
   [[nodiscard]] std::uint64_t nextStamp(std::uint32_t srcKey);
-  bool fireNextIn(ShardState& shard);
-  // Runs the live entry just popped from `shard`: a one-shot releases its
-  // slot first, a periodic series re-enqueues itself after the call.
+  // The tag's closure from its registered factory.
+  [[nodiscard]] Callback build(const EventTag& tag) const;
+  void fireNextIn(ShardState& shard);
+  // Runs the entry just popped from `shard`: a one-shot releases its slot
+  // first, a periodic series re-enqueues itself after the call.
   void fire(ShardState& shard, const HeapEntry& entry);
   // Serial paths: picks the canonically next shard across all queues.
   ShardState* nextShardSerial();
@@ -268,8 +306,6 @@ class Simulator {
                              const EventTag& tag, std::uint32_t destKey);
   std::uint32_t allocSlot(ShardState& shard);
   void releaseSlot(ShardState& shard, std::uint32_t index);
-  // Discards cancelled entries so queue.top(), when present, is live.
-  static void purgeStale(ShardState& shard);
   std::uint64_t runUntilSerial(SimTime until);
   std::uint64_t runUntilParallel(SimTime until);
 

@@ -1,8 +1,23 @@
 #include "util/flags.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace st {
+
+namespace {
+
+[[noreturn]] void rejectValue(const std::string& name, const std::string& value,
+                              const std::string& expected) {
+  std::fprintf(stderr, "--%s: expected %s, got '%s'\n", name.c_str(),
+               expected.c_str(), value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,17 +53,37 @@ std::string Flags::getString(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t Flags::getInt(const std::string& name,
-                           std::int64_t fallback) const {
+std::int64_t Flags::getInt(const std::string& name, std::int64_t fallback,
+                           std::int64_t min) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  std::int64_t parsed = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (ec != std::errc{} || end != last || parsed < min) {
+    std::string expected = "an integer";
+    if (min != std::numeric_limits<std::int64_t>::min()) {
+      expected += " >= " + std::to_string(min);
+    }
+    rejectValue(name, value, expected);
+  }
+  return parsed;
 }
 
 double Flags::getDouble(const std::string& name, double fallback) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::string& value = it->second;
+  double parsed = 0.0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (ec != std::errc{} || end != last || !std::isfinite(parsed)) {
+    rejectValue(name, value, "a finite number");
+  }
+  return parsed;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

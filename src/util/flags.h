@@ -1,10 +1,14 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports `--name value`, `--name=value`, and boolean `--name`. Unknown
-// flags are an error so typos in sweep scripts fail loudly.
+// flags are an error so typos in sweep scripts fail loudly. Numeric values
+// are checked in full: an empty, non-numeric, trailing-garbage or
+// out-of-range value prints the flag and the token on stderr and exits 2,
+// like the --faults / --overload / --shards spec errors.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,8 +29,11 @@ class Flags {
 
   [[nodiscard]] std::string getString(const std::string& name,
                                       std::string fallback) const;
-  [[nodiscard]] std::int64_t getInt(const std::string& name,
-                                    std::int64_t fallback) const;
+  // A given value must be a whole decimal integer, at least `min`.
+  [[nodiscard]] std::int64_t getInt(
+      const std::string& name, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min()) const;
+  // A given value must be a whole finite number.
   [[nodiscard]] double getDouble(const std::string& name,
                                  double fallback) const;
   [[nodiscard]] bool getBool(const std::string& name, bool fallback) const;

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "bench_common.h"
 #include "fault/schedule.h"
 #include "vod/overload.h"
 
@@ -76,6 +77,78 @@ TEST(Flags, NegativeNumbersAsValues) {
   // "-5" does not start with "--", so it parses as a value.
   const Flags flags = parse({"--offset", "-5"});
   EXPECT_EQ(flags.getInt("offset", 0), -5);
+}
+
+// Numeric values are checked in full. A bad one exits 2 and names the flag
+// and the token, instead of silently reading as 0 (`abc`) or as its numeric
+// prefix (`50x`, `1.9` for an integer).
+
+TEST(FlagsDeathTest, NonNumericIntegerExitsTwoNamingFlagAndToken) {
+  const Flags flags = parse({"--users", "abc"});
+  EXPECT_EXIT((void)flags.getInt("users", 1), ::testing::ExitedWithCode(2),
+              "--users: expected an integer, got 'abc'");
+}
+
+TEST(FlagsDeathTest, TrailingGarbageIsRejected) {
+  EXPECT_EXIT((void)parse({"--users", "50x"}).getInt("users", 1),
+              ::testing::ExitedWithCode(2), "--users.*'50x'");
+  EXPECT_EXIT((void)parse({"--seed", "1.9"}).getInt("seed", 1),
+              ::testing::ExitedWithCode(2), "--seed.*'1.9'");
+  EXPECT_EXIT((void)parse({"--ratio", "0.5s"}).getDouble("ratio", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--ratio: expected a finite number, got '0.5s'");
+}
+
+TEST(FlagsDeathTest, EmptyAndBareValuesAreRejected) {
+  EXPECT_EXIT((void)parse({"--users="}).getInt("users", 1),
+              ::testing::ExitedWithCode(2), "--users.*''");
+  EXPECT_EXIT((void)parse({"--audit="}).getDouble("audit", 0.0),
+              ::testing::ExitedWithCode(2), "--audit.*''");
+  // A bare numeric flag reads as the boolean "true", which is no number.
+  EXPECT_EXIT((void)parse({"--users"}).getInt("users", 1),
+              ::testing::ExitedWithCode(2), "--users.*'true'");
+}
+
+TEST(FlagsDeathTest, OutOfRangeValuesAreRejected) {
+  EXPECT_EXIT((void)parse({"--seed", "99999999999999999999"}).getInt("seed", 1),
+              ::testing::ExitedWithCode(2), "--seed.*'99999999999999999999'");
+  EXPECT_EXIT((void)parse({"--audit", "1e999"}).getDouble("audit", 0.0),
+              ::testing::ExitedWithCode(2), "--audit.*'1e999'");
+  EXPECT_EXIT((void)parse({"--audit", "inf"}).getDouble("audit", 0.0),
+              ::testing::ExitedWithCode(2), "--audit.*'inf'");
+  EXPECT_EXIT((void)parse({"--audit", "nan"}).getDouble("audit", 0.0),
+              ::testing::ExitedWithCode(2), "--audit.*'nan'");
+}
+
+TEST(FlagsDeathTest, IntegerBelowTheCallersMinimumIsRejected) {
+  EXPECT_EXIT((void)parse({"--users", "0"}).getInt("users", 5, 1),
+              ::testing::ExitedWithCode(2),
+              "--users: expected an integer >= 1, got '0'");
+  EXPECT_EXIT((void)parse({"--users", "-3"}).getInt("users", 5, 1),
+              ::testing::ExitedWithCode(2), "--users.*'-3'");
+}
+
+TEST(Flags, MinimumIsInclusive) {
+  EXPECT_EQ(parse({"--users", "1"}).getInt("users", 5, 1), 1);
+  EXPECT_EQ(parse({}).getInt("users", 0, 1), 0);  // fallback is not checked
+}
+
+TEST(Flags, ExtremeButValidNumbersParse) {
+  EXPECT_EQ(parse({"--seed", "9223372036854775807"}).getInt("seed", 0),
+            9223372036854775807);
+  EXPECT_DOUBLE_EQ(parse({"--x", "-2.5e-3"}).getDouble("x", 0.0), -2.5e-3);
+  EXPECT_DOUBLE_EQ(parse({"--x", "7"}).getDouble("x", 0.0), 7.0);
+}
+
+// The figure binaries share bench::experimentConfig: zero users used to
+// crash the run (SIGSEGV), now it is a flag error.
+TEST(FlagsDeathTest, FigureBinariesRejectZeroUsers) {
+  EXPECT_EXIT((void)bench::experimentConfig(parse({"--users", "0"})),
+              ::testing::ExitedWithCode(2), "--users.*'0'");
+  EXPECT_EXIT((void)bench::crawlScaleCatalog(parse({"--users", "0"})),
+              ::testing::ExitedWithCode(2), "--users.*'0'");
+  EXPECT_EXIT((void)bench::experimentConfig(parse({"--users", "abc"})),
+              ::testing::ExitedWithCode(2), "--users.*'abc'");
 }
 
 // The CLI fail-fast contract: a rejected --faults / --overload spec names the

@@ -230,5 +230,43 @@ TEST_F(FlowBatchTest, ObserverMayStartFailoverFlowsDuringTheDropBatch) {
               1000.0);
 }
 
+TEST_F(FlowBatchTest, ReRatingAtASharedOriginBuildsOneClosurePerFlow) {
+  // Every start at the origin re-rates all of its uploads. The re-rate
+  // moves each queued completion in place, so the kFlow factory builds one
+  // closure per flow (its first schedule), not one per rate recomputation.
+  struct CountingFactory final : sim::EventFactory {
+    explicit CountingFactory(sim::EventFactory& inner) : inner(inner) {}
+    [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override {
+      ++rebuilds;
+      return inner.rebuild(tag);
+    }
+    sim::EventFactory& inner;
+    std::uint64_t rebuilds = 0;
+  } counting(*sim_.factory(sim::Component::kFlow));
+  sim_.registerFactory(sim::Component::kFlow, &counting);
+
+  const EndpointId origin = endpoint(0, 5e6, 5e6);
+  constexpr std::uint32_t kUploads = 12;
+  std::vector<FlowId> uploads;
+  const std::uint64_t before = flows_.rateRecomputations();
+  for (std::uint32_t i = 1; i <= kUploads; ++i) {
+    uploads.push_back(flows_.startFlow(origin, endpoint(i), 2'000'000));
+    ASSERT_TRUE(uploads.back().valid());
+  }
+  // The i-th start re-rates all i uploads: 1 + 2 + ... + N recomputations.
+  EXPECT_EQ(flows_.rateRecomputations() - before,
+            std::uint64_t{kUploads} * (kUploads + 1) / 2);
+  EXPECT_EQ(counting.rebuilds, std::uint64_t{kUploads});
+  EXPECT_EQ(sim_.pendingEvents(), std::size_t{kUploads});
+
+  // Each finish re-rates the survivors in place as well, and every upload
+  // still completes with all of its bytes.
+  sim_.run();
+  EXPECT_EQ(counting.rebuilds, std::uint64_t{kUploads});
+  EXPECT_EQ(flows_.activeFlows(), 0u);
+  EXPECT_EQ(flows_.bytesUploaded(origin), std::uint64_t{kUploads} * 2'000'000);
+  sim_.registerFactory(sim::Component::kFlow, &counting.inner);
+}
+
 }  // namespace
 }  // namespace st::net

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "sim/event_tag.h"
 #include "sim/time.h"
 
 namespace st::sim {
@@ -257,6 +259,180 @@ TEST(Simulator, ManyEventsStressOrdering) {
   sim.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(sim.eventsFired(), 10000u);
+}
+
+// --- retimeTagged: exactly cancel + scheduleTagged ---------------------------
+
+// Tagged events append tag.a to `log`; counts the closures it builds.
+class LogFactory : public EventFactory {
+ public:
+  explicit LogFactory(std::vector<std::uint64_t>* log) : log_(log) {}
+  [[nodiscard]] Callback rebuild(const EventTag& tag) override {
+    ++rebuilds;
+    std::vector<std::uint64_t>* log = log_;
+    const std::uint64_t value = tag.a;
+    return [log, value] { log->push_back(value); };
+  }
+  int rebuilds = 0;
+
+ private:
+  std::vector<std::uint64_t>* log_;
+};
+
+class RetimeTest : public ::testing::Test {
+ protected:
+  RetimeTest() { sim_.registerFactory(Component::kSession, &factory_); }
+
+  static EventTag tag(std::uint64_t value) {
+    return makeTag(Component::kSession, /*kind=*/0, value);
+  }
+  EventHandle at(SimTime delay, std::uint64_t value) {
+    return sim_.scheduleTagged(delay, tag(value));
+  }
+
+  Simulator sim_;
+  std::vector<std::uint64_t> log_;
+  LogFactory factory_{&log_};
+};
+
+TEST_F(RetimeTest, InPlaceKeepsTheHandleAndTheClosure) {
+  const EventHandle handle = at(10, 1);
+  EXPECT_EQ(factory_.rebuilds, 1);
+  const EventHandle moved = sim_.retimeTagged(handle, 30, tag(1));
+  EXPECT_EQ(moved, handle);
+  EXPECT_EQ(factory_.rebuilds, 1);  // unchanged tag: no rebuild
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.runUntil(29);
+  EXPECT_TRUE(log_.empty());
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(sim_.now(), 30);
+}
+
+TEST_F(RetimeTest, ANewTagSchedulesAfresh) {
+  const EventHandle handle = at(10, 1);
+  const EventHandle retagged = sim_.retimeTagged(handle, 5, tag(2));
+  EXPECT_NE(retagged, handle);
+  EXPECT_EQ(factory_.rebuilds, 2);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.cancel(handle);  // stale now
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{2}));
+}
+
+TEST_F(RetimeTest, MovesEarlierAndLaterFireInOrder) {
+  const EventHandle a = at(10, 1);
+  at(20, 2);
+  const EventHandle c = at(30, 3);
+  at(40, 4);
+  sim_.retimeTagged(c, 5, tag(3));   // earlier than everything
+  sim_.retimeTagged(a, 25, tag(1));  // past event 2
+  EXPECT_EQ(sim_.pendingEvents(), 4u);
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{3, 2, 1, 4}));
+}
+
+TEST_F(RetimeTest, SameInstantOrderFollowsTheFreshStamp) {
+  // A re-time takes a new stamp, like cancel + schedule: moved onto an
+  // instant that is already taken, it fires after the event already there.
+  const EventHandle a = at(10, 1);
+  at(10, 2);
+  sim_.retimeTagged(a, 10, tag(1));
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{2, 1}));
+}
+
+TEST_F(RetimeTest, StaleHandleSchedulesAfresh) {
+  const EventHandle fired = at(1, 1);
+  sim_.run();
+  const EventHandle fresh = sim_.retimeTagged(fired, 5, tag(2));
+  EXPECT_TRUE(fresh.valid());
+  EXPECT_NE(fresh, fired);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(sim_.pendingEvents(), 0u);
+}
+
+TEST_F(RetimeTest, InvalidHandleSchedulesAfresh) {
+  const EventHandle fresh = sim_.retimeTagged(EventHandle{}, 5, tag(7));
+  EXPECT_TRUE(fresh.valid());
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.run();
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{7}));
+}
+
+TEST_F(RetimeTest, PeriodicHandleEndsTheSeriesAndSchedulesAOneShot) {
+  int ticks = 0;
+  const EventHandle series = sim_.schedulePeriodic(10, [&] { ++ticks; });
+  sim_.runUntil(15);
+  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(3));
+  EXPECT_NE(oneShot, series);
+  EXPECT_EQ(sim_.periodicSeries(), 0u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.run();
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{3}));
+}
+
+TEST_F(RetimeTest, TaggedPeriodicWithItsOwnTagStillEndsTheSeries) {
+  const EventHandle series = sim_.schedulePeriodicTagged(10, tag(5));
+  sim_.runUntil(15);
+  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(5));
+  EXPECT_NE(oneShot, series);
+  EXPECT_EQ(sim_.periodicSeries(), 0u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.runUntil(1000);
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{5, 5}));  // t=10, then t=115
+  EXPECT_EQ(sim_.pendingEvents(), 0u);
+}
+
+TEST_F(RetimeTest, PeriodicRetimingItselfFromItsCallback) {
+  // The running series has no heap entry; retiming it from inside must end
+  // the series without touching the heap.
+  EventHandle series;
+  EventHandle oneShot;
+  int ticks = 0;
+  series = sim_.schedulePeriodic(10, [&] {
+    if (++ticks == 2) oneShot = sim_.retimeTagged(series, 5, tag(9));
+  });
+  at(100, 1);
+  sim_.run();
+  EXPECT_EQ(ticks, 2);
+  EXPECT_TRUE(oneShot.valid());
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{9, 1}));
+  EXPECT_EQ(sim_.pendingEvents(), 0u);
+  EXPECT_EQ(sim_.periodicSeries(), 0u);
+}
+
+TEST_F(RetimeTest, OneShotRetimingItsOwnHandleSchedulesAfresh) {
+  // A firing one-shot's handle is already stale.
+  EventHandle self;
+  EventHandle again;
+  self = sim_.schedule(10, [&] { again = sim_.retimeTagged(self, 5, tag(4)); });
+  sim_.run();
+  EXPECT_TRUE(again.valid());
+  EXPECT_EQ(log_, (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(sim_.now(), 15);
+}
+
+TEST_F(RetimeTest, PendingEventsStayExactAcrossMixedOperations) {
+  std::vector<EventHandle> handles;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    handles.push_back(at(static_cast<SimTime>(i * 7 % 50), i));
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 3) {
+    handles[i] = sim_.retimeTagged(handles[i], 60, tag(i));
+  }
+  for (std::size_t i = 1; i < handles.size(); i += 4) sim_.cancel(handles[i]);
+  EXPECT_EQ(sim_.pendingEvents(), 64u - 16u);
+  sim_.runUntil(30);
+  const std::size_t firedSoFar = log_.size();
+  EXPECT_EQ(sim_.pendingEvents(), 48u - firedSoFar);
+  sim_.run();
+  EXPECT_EQ(log_.size(), 48u);
+  EXPECT_EQ(sim_.pendingEvents(), 0u);
 }
 
 TEST(SimTimeConversions, RoundTrip) {
