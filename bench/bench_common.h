@@ -139,4 +139,29 @@ inline int rejectUnknownFlags(const Flags& flags) {
   return 0;
 }
 
+// Arguments of the microbenchmarks (sim_bench, flow_bench, shard_bench): an
+// optional output path and, where `smoke` is non-null, `--smoke`. Any other
+// dash argument, or a second path, prints the token and exits 2 instead of
+// becoming the output file's name.
+inline const char* microbenchOutputPath(int argc, char** argv,
+                                        const char* defaultPath,
+                                        bool* smoke) {
+  const char* path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (smoke != nullptr && arg == "--smoke") {
+      *smoke = true;
+    } else if (arg.rfind('-', 0) == 0 || path != nullptr) {
+      std::fprintf(stderr,
+                   "%s: unexpected argument '%s' (usage: %s%s [OUT])\n",
+                   argv[0], argv[i], argv[0],
+                   smoke != nullptr ? " [--smoke]" : "");
+      std::exit(2);
+    } else {
+      path = argv[i];
+    }
+  }
+  return path != nullptr ? path : defaultPath;
+}
+
 }  // namespace st::bench

@@ -33,13 +33,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_common.h"
 #include "net/flow_network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -775,15 +775,9 @@ bool crossCheck(const char* name, const WorkloadResult& eager,
 
 int main(int argc, char** argv) {
   using namespace st::bench;
-  const char* outPath = "BENCH_flow.json";
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      outPath = argv[i];
-    }
-  }
+  const char* outPath =
+      microbenchOutputPath(argc, argv, "BENCH_flow.json", &smoke);
   const int kReps = smoke ? 1 : 3;
   const int kChurnTicks = smoke ? 300 : 6000;
   const int kStormRounds = smoke ? 3 : 40;

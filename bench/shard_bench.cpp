@@ -33,10 +33,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -281,15 +281,9 @@ double bestOf(int reps, const BenchConfig& config, Engine engine,
 }
 
 int benchMain(int argc, char** argv) {
-  const char* outPath = "BENCH_shard.json";
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      outPath = argv[i];
-    }
-  }
+  const char* outPath =
+      microbenchOutputPath(argc, argv, "BENCH_shard.json", &smoke);
 
   BenchConfig config;
   if (smoke) {

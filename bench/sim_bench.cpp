@@ -14,7 +14,8 @@
 // and per-node unordered_set query dedup. Keeping it in-binary makes the
 // speedup measurable under identical flags on the same machine.
 //
-// Emits BENCH_sim.json (path = first positional arg, default ./BENCH_sim.json).
+// Emits BENCH_sim.json (path = the one positional arg, default
+// ./BENCH_sim.json; any other argument exits 2).
 // Regenerate the committed baseline with:
 //   cmake --build build --target sim_bench && ./build/bench/sim_bench BENCH_sim.json
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "vod/query_dedup.h"
@@ -387,7 +389,8 @@ double bestOf(int n, Fn fn) {
 
 int main(int argc, char** argv) {
   using namespace st::bench;
-  const char* outPath = argc > 1 ? argv[1] : "BENCH_sim.json";
+  const char* outPath =
+      microbenchOutputPath(argc, argv, "BENCH_sim.json", nullptr);
   constexpr int kReps = 3;
 
   std::uint64_t sink = 0;

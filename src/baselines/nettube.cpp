@@ -10,36 +10,17 @@ bool contains(const std::vector<UserId>& list, UserId value) {
   return std::find(list.begin(), list.end(), value) != list.end();
 }
 
-std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
-  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-}
-
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-std::uint32_t hi32(std::uint64_t v) {
-  return static_cast<std::uint32_t>(v >> 32);
-}
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-
-std::vector<std::uint32_t> fromUsers(const std::vector<UserId>& users) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(users.size());
-  for (const UserId user : users) raw.push_back(user.value());
-  return raw;
-}
 }  // namespace
+
+using sim::hi32;
+using sim::lo32;
+using sim::pack;
 
 NetTubeSystem::NetTubeSystem(vod::SystemContext& ctx,
                              vod::TransferManager& transfers)
     : ctx_(ctx),
       transfers_(transfers),
-      queryDedup_(ctx.catalog().userCount()),
-      activeSearch_(ctx.catalog().userCount(), 0) {
+      searches_(ctx.catalog().userCount(), ctx.catalog().videoCount()) {
   overlays_.resize(ctx.catalog().userCount());
   probeTimer_.resize(ctx.catalog().userCount());
   cache_.reserve(ctx.catalog().userCount());
@@ -97,7 +78,8 @@ sim::Callback NetTubeSystem::rebuild(const sim::EventTag& tag) {
       // offline receiver still frees it (wrapStage would silently drop).
       return [this, tag] { applyDirectoryReply(tag); };
     case kServerWatch:
-      return ctx_.wrapStage(tag, [this, tag] { serverWatch(tag); });
+      return ctx_.wrapStage(
+          tag, [this, tag] { transfers_.startServerWatch(tag); });
     case kCachedAtServer:
       return ctx_.wrapStage(tag, [this, tag] { cachedAtServer(tag); });
     case kCachedReply:
@@ -119,7 +101,7 @@ void NetTubeSystem::discard(const sim::EventTag& tag) {
       ctx_.freePayloadIfLive(tag.b);
       break;
     case kServerWatch:
-      ctx_.freePayloadIfLive(tag.c);
+      transfers_.discardServerWatch(tag);
       break;
     default:
       break;
@@ -155,9 +137,10 @@ bool NetTubeSystem::onRestored(const sim::EventTag& tag,
     case kSearchHit:
       return user(tag.b);
     case kDirectoryAtServer:
-    case kServerWatch:
     case kCachedAtServer:
       return user(tag.a) && video(tag.b);
+    case kServerWatch:
+      return transfers_.validServerWatch(tag);
     case kDirectoryReply:
       return user(tag.a32);
     case kCachedReply:
@@ -198,20 +181,6 @@ std::vector<UserId> NetTubeSystem::allNeighbors(
   return result;
 }
 
-bool NetTubeSystem::seenQuery(UserId at, std::uint64_t queryId) {
-  return queryDedup_.checkAndMark(at.index(), queryId);
-}
-
-void NetTubeSystem::abandonSearch(UserId user) {
-  const std::uint64_t queryId = activeSearch_[user.index()];
-  if (queryId == 0) return;
-  if (Search* search = searches_.find(queryId)) {
-    ctx_.sim().cancel(search->deadline);
-    searches_.erase(queryId);
-  }
-  activeSearch_[user.index()] = 0;
-}
-
 void NetTubeSystem::connectOverlayLink(UserId a, UserId b, VideoId video) {
   if (a == b) return;
   // Look up before inserting: a refused connect must not leave an empty
@@ -243,40 +212,38 @@ void NetTubeSystem::onLogin(UserId user) {
   overlays_[user.index()].clear();
   // Report the cached inventory so the server can direct other nodes here
   // ("users need to report the changes of videos they watch", §IV-A).
-  const vod::VideoCache& cache = cache_[user.index()];
-  if (!cache.videoList().empty()) {
-    vod::SystemContext::Payload payload;
-    for (const VideoId video : cache.videoList()) {
-      payload.u.push_back(video.value());
-    }
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
-                                   user.value(), payloadId));
-  }
+  reportInventory(user);
   probeTimer_[user.index()] = ctx_.sim().schedulePeriodicTagged(
       ctx_.config().probeInterval,
       sim::makeTag(sim::Component::kNetTube, kProbeEvent, user.value()));
 }
 
+void NetTubeSystem::reportInventory(UserId user) {
+  const vod::VideoCache& cache = cache_[user.index()];
+  if (cache.videoList().empty()) return;
+  vod::SystemContext::Payload payload;
+  for (const VideoId video : cache.videoList()) {
+    payload.u.push_back(video.value());
+  }
+  const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
+  ctx_.sendToServer(user,
+                    sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
+                                 user.value(), payloadId));
+}
+
 void NetTubeSystem::inventoryAtServer(const sim::EventTag& tag) {
   const UserId user{lo32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  for (const std::uint32_t raw : payload.u) directory_.add(user, VideoId{raw});
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  for (const std::uint32_t raw : payload->u) directory_.add(user, VideoId{raw});
 }
 
 void NetTubeSystem::onLogout(UserId user, bool graceful) {
   ctx_.sim().cancel(probeTimer_[user.index()]);
   probeTimer_[user.index()] = sim::EventHandle{};
 
-  abandonSearch(user);
+  searches_.abandon(user, ctx_.sim());
 
   if (graceful) {
     for (const UserId n : allNeighbors(overlays_[user.index()])) {
@@ -314,15 +281,14 @@ void NetTubeSystem::requestVideo(UserId user, VideoId video) {
 void NetTubeSystem::beginSearch(UserId user, VideoId video, bool prefetchHit,
                                 sim::SimTime requestTime) {
   if (!ctx_.isOnline(user)) return;
-  abandonSearch(user);
+  searches_.abandon(user, ctx_.sim());
 
   Search search;
   search.user = user;
   search.video = video;
   search.prefetchHit = prefetchHit;
   search.requestTime = requestTime;
-  const std::uint64_t queryId = searches_.insert(search);
-  activeSearch_[user.index()] = queryId;
+  const std::uint64_t queryId = searches_.start(search);
 
   std::vector<UserId> neighbors = allNeighbors(overlays_[user.index()]);
   if (neighbors.empty()) {
@@ -331,20 +297,8 @@ void NetTubeSystem::beginSearch(UserId user, VideoId video, bool prefetchHit,
     askServerDirectory(queryId);
     return;
   }
-  // Per-hop fan-out is bounded by the per-overlay link budget (a node
-  // queries one overlay's worth of neighbors, chosen at random), keeping
-  // the flood cost comparable to SocialTube's N_l-bounded channel flood.
-  if (neighbors.size() > ctx_.config().linksPerVideoOverlay) {
-    ctx_.rng().shuffle(neighbors);
-    neighbors.resize(ctx_.config().linksPerVideoOverlay);
-  }
-  for (const UserId n : neighbors) {
-    if (!ctx_.neighborAllowed(user, n)) continue;  // breaker open
-    ctx_.sendUser(user, n,
-                  sim::makeTag(sim::Component::kNetTube, kFloodHop,
-                               user.value(), video.value(), queryId,
-                               static_cast<std::uint64_t>(ctx_.config().ttl)));
-  }
+  forwardQuery(user, user, video, queryId, std::move(neighbors),
+               ctx_.config().ttl);
   searches_.find(queryId)->deadline = ctx_.sim().scheduleTagged(
       ctx_.config().searchPhaseTimeout,
       sim::makeTag(sim::Component::kNetTube, kAskDirectory, queryId));
@@ -352,7 +306,7 @@ void NetTubeSystem::beginSearch(UserId user, VideoId video, bool prefetchHit,
 
 void NetTubeSystem::floodQuery(UserId origin, UserId at, VideoId video,
                                std::uint64_t queryId, int ttl) {
-  if (seenQuery(at, queryId)) return;
+  if (searches_.seen(at, queryId)) return;
   if (cache_[at.index()].contains(video)) {
     ctx_.sendUser(at, origin,
                   sim::makeTag(sim::Component::kNetTube, kSearchHit, queryId,
@@ -360,18 +314,24 @@ void NetTubeSystem::floodQuery(UserId origin, UserId at, VideoId video,
     return;
   }
   if (ttl <= 1) return;
-  std::vector<UserId> neighbors = allNeighbors(overlays_[at.index()]);
+  forwardQuery(origin, at, video, queryId,
+               allNeighbors(overlays_[at.index()]), ttl - 1);
+}
+
+void NetTubeSystem::forwardQuery(UserId origin, UserId at, VideoId video,
+                                 std::uint64_t queryId,
+                                 std::vector<UserId> neighbors, int ttl) {
   if (neighbors.size() > ctx_.config().linksPerVideoOverlay) {
     ctx_.rng().shuffle(neighbors);
     neighbors.resize(ctx_.config().linksPerVideoOverlay);
   }
   for (const UserId n : neighbors) {
-    if (n == origin) continue;
+    if (n == origin) continue;  // never back to the searcher
     if (!ctx_.neighborAllowed(at, n)) continue;  // breaker open at this hop
     ctx_.sendUser(at, n,
                   sim::makeTag(sim::Component::kNetTube, kFloodHop,
                                origin.value(), video.value(), queryId,
-                               static_cast<std::uint64_t>(ttl - 1)));
+                               static_cast<std::uint64_t>(ttl)));
   }
 }
 
@@ -428,7 +388,7 @@ void NetTubeSystem::directoryAtServer(const sim::EventTag& tag) {
     });
   }
   vod::SystemContext::Payload payload;
-  payload.u = fromUsers(candidates);
+  payload.u = vod::fromUsers(candidates);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendFromServer(user, sim::makeTag(sim::Component::kNetTube,
                                          kDirectoryReply, queryId, payloadId));
@@ -437,16 +397,12 @@ void NetTubeSystem::directoryAtServer(const sim::EventTag& tag) {
 void NetTubeSystem::applyDirectoryReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const std::uint64_t queryId = tag.a;
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
   const Search* search = searches_.find(queryId);
   if (search == nullptr) return;
-  const std::vector<UserId> candidates = toUsers(payload.u);
+  const std::vector<UserId> candidates = vod::toUsers(payload->u);
   if (candidates.empty()) {
     ctx_.metrics().countServerFallback();
     ST_TRACE(ctx_.trace(), ctx_.sim().now(), kServerFallback,
@@ -463,7 +419,6 @@ void NetTubeSystem::resolveSearch(std::uint64_t queryId, UserId provider,
   assert(searches_.find(queryId) != nullptr);
   const Search search = searches_.take(queryId);
   ctx_.sim().cancel(search.deadline);
-  activeSearch_[search.user.index()] = 0;
   if (!ctx_.isOnline(search.user)) return;
 
   // Join the video's overlay by linking to the discovered holders.
@@ -504,38 +459,10 @@ void NetTubeSystem::startDownload(UserId user, VideoId video, UserId provider,
   request.reportPlayback = !prefetchHit;
 
   if (!provider.valid()) {
-    vod::SystemContext::Payload payload;
-    payload.u = fromUsers(request.extraProviders);
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kServerWatch,
-                                   user.value(),
-                                   pack(video.value(), prefetchHit ? 1 : 0),
-                                   payloadId,
-                                   static_cast<std::uint64_t>(requestTime)));
+    transfers_.requestFromServer(sim::Component::kNetTube, kServerWatch,
+                                 std::move(request));
     return;
   }
-  transfers_.startWatch(std::move(request));
-}
-
-void NetTubeSystem::serverWatch(const sim::EventTag& tag) {
-  const UserId user{lo32(tag.a)};
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.c)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.c);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.c);
-  const bool prefetchHit = hi32(tag.b) != 0;
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = VideoId{lo32(tag.b)};
-  request.provider = UserId::invalid();
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = static_cast<sim::SimTime>(tag.d);
-  request.extraProviders = toUsers(payload.u);
-  request.reportPlayback = !prefetchHit;
   transfers_.startWatch(std::move(request));
 }
 
@@ -576,7 +503,7 @@ void NetTubeSystem::cachedAtServer(const sim::EventTag& tag) {
       video, ctx_.config().linksPerVideoOverlay, user, ctx_.rng());
   directory_.add(user, video);
   vod::SystemContext::Payload payload;
-  payload.u = fromUsers(members);
+  payload.u = vod::fromUsers(members);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendFromServer(user,
                       sim::makeTag(sim::Component::kNetTube, kCachedReply,
@@ -586,14 +513,10 @@ void NetTubeSystem::cachedAtServer(const sim::EventTag& tag) {
 void NetTubeSystem::applyCachedReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const VideoId video{lo32(tag.a)};
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  for (const UserId member : toUsers(payload.u)) {
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  for (const UserId member : vod::toUsers(payload->u)) {
     if (!ctx_.neighborAllowed(user, member)) continue;
     if (ctx_.isOnline(member)) {
       connectOverlayLink(user, member, video);
@@ -632,17 +555,7 @@ void NetTubeSystem::reconcile(UserId user) {
   // server no longer lists this node as a provider for anything it holds.
   // Re-send the full cached inventory (directory adds are idempotent, so a
   // rejoin racing the login-time report is harmless).
-  const vod::VideoCache& cache = cache_[user.index()];
-  if (!cache.videoList().empty()) {
-    vod::SystemContext::Payload payload;
-    for (const VideoId video : cache.videoList()) {
-      payload.u.push_back(video.value());
-    }
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
-                                   user.value(), payloadId));
-  }
+  reportInventory(user);
   // Overlay-link audit: one immediate probe sweep drops links whose far end
   // died or dropped us while this node was dark, without waiting out the
   // periodic probe interval.
@@ -764,23 +677,10 @@ void NetTubeSystem::saveState(snapshot::Writer& w) const {
     }
     cache_[i].saveState(w);
   }
-  w.u64(searches_.slotCount());
-  searches_.visitSlots([&w](std::uint32_t, bool live, std::uint32_t gen,
-                            std::uint32_t nextFree, const Search& search) {
-    w.boolean(live);
-    w.u32(gen);
-    w.u32(nextFree);
-    if (!live) return;
-    w.u32(search.user.value());
-    w.u32(search.video.value());
+  searches_.saveState(w, [](snapshot::Writer& w, const Search& search) {
     w.boolean(search.prefetchHit);
     w.i64(search.requestTime);
   });
-  w.u32(searches_.freeHead());
-  w.u64(queryDedup_.marks().size());
-  for (const std::uint64_t mark : queryDedup_.marks()) w.u64(mark);
-  w.u64(activeSearch_.size());
-  for (const std::uint64_t id : activeSearch_) w.u64(id);
 }
 
 bool NetTubeSystem::loadState(snapshot::Reader& r) {
@@ -796,64 +696,27 @@ bool NetTubeSystem::loadState(snapshot::Reader& r) {
     overlays.clear();
     const std::size_t overlayCount = r.count(4 + 8);
     for (std::size_t i = 0; i < overlayCount; ++i) {
-      const VideoId video{r.u32()};
-      if (r.ok() && video.index() >= ctx_.catalog().videoCount()) {
-        r.fail("NetTube overlay video out of range");
-        return false;
-      }
+      const VideoId video{
+          r.id(ctx_.catalog().videoCount(), "NetTube overlay video")};
+      if (!r.ok()) return false;
       std::vector<UserId>& links = overlays[video];
       const std::size_t linkCount = r.count(4);
       for (std::size_t j = 0; j < linkCount; ++j) {
-        const UserId n{r.u32()};
-        if (r.ok() && n.index() >= overlays_.size()) {
-          r.fail("NetTube overlay link out of range");
-          return false;
-        }
-        links.push_back(n);
+        links.push_back(UserId{r.id(overlays_.size(), "NetTube overlay link")});
       }
     }
-    if (!cache_[node].loadState(r)) return false;
+    if (!cache_[node].loadState(r, ctx_.catalog().videoCount())) {
+      return false;
+    }
     probeTimer_[node] = sim::EventHandle{};
     if (!r.ok()) return false;
   }
-  const std::size_t slots = r.count(1 + 4 + 4);
-  searches_.beginRestore();
-  for (std::size_t i = 0; i < slots; ++i) {
-    const bool live = r.boolean();
-    const std::uint32_t gen = r.u32();
-    const std::uint32_t nextFree = r.u32();
-    Search search;
-    if (live) {
-      search.user = UserId{r.u32()};
-      search.video = VideoId{r.u32()};
-      search.prefetchHit = r.boolean();
-      search.requestTime = r.i64();
-      if (r.ok() && search.user.index() >= overlays_.size()) {
-        r.fail("NetTube search user out of range");
-        return false;
-      }
-    }
-    if (!r.ok()) return false;
-    searches_.restoreSlot(live, gen, nextFree, std::move(search));
-  }
-  const std::uint32_t freeHead = r.u32();
-  if (!r.ok() || !searches_.finishRestore(freeHead)) {
-    r.fail("NetTube search pool free list corrupt");
-    return false;
-  }
-  std::vector<std::uint64_t> marks(r.count(8));
-  for (std::uint64_t& mark : marks) mark = r.u64();
-  if (!r.ok() || !queryDedup_.restoreMarks(std::move(marks))) {
-    r.fail("NetTube dedup mark count mismatch");
-    return false;
-  }
-  const std::size_t activeCount = r.count(8);
-  if (!r.ok() || activeCount != activeSearch_.size()) {
-    r.fail("NetTube active-search count mismatch");
-    return false;
-  }
-  for (std::uint64_t& id : activeSearch_) id = r.u64();
-  return r.ok();
+  return searches_.loadState(
+      r, "NetTube", [](snapshot::Reader& in, Search& search) {
+        search.prefetchHit = in.boolean();
+        search.requestTime = in.i64();
+        return true;
+      });
 }
 
 }  // namespace st::baselines

@@ -16,9 +16,8 @@
 #include <vector>
 
 #include "baselines/video_directory.h"
-#include "util/slot_pool.h"
 #include "vod/context.h"
-#include "vod/query_dedup.h"
+#include "vod/search_table.h"
 #include "vod/system.h"
 #include "vod/transfer.h"
 #include "vod/video_cache.h"
@@ -39,8 +38,8 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
                                                          // b=video|join<<32
                                                          // c=queryId
   static constexpr std::uint8_t kDirectoryReply = 7;  // a=queryId b=payload
-  static constexpr std::uint8_t kServerWatch = 8;     // a=user b=video|hit<<32
-                                                      // c=payload d=reqT
+  static constexpr std::uint8_t kServerWatch = 8;     // TransferManager's
+                                                      // server-watch layout
   static constexpr std::uint8_t kCachedAtServer = 9;  // a=user b=video
   static constexpr std::uint8_t kCachedReply = 10;    // a=video b=payload
 
@@ -106,9 +105,6 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
 
   // Distinct neighbors across all of the node's overlays.
   [[nodiscard]] std::vector<UserId> allNeighbors(const Overlays& overlays) const;
-  [[nodiscard]] bool seenQuery(UserId at, std::uint64_t queryId);
-  // Abandons the user's in-flight search, if any (logout, new request).
-  void abandonSearch(UserId user);
 
   void connectOverlayLink(UserId a, UserId b, VideoId video);
   void dropAllLinks(UserId holder, UserId gone);
@@ -117,13 +113,21 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
                    sim::SimTime requestTime);
   void floodQuery(UserId origin, UserId at, VideoId video,
                   std::uint64_t queryId, int ttl);
+  // Sends the query from `at` to its neighbors with `ttl` hops left. The
+  // per-hop fan-out is bounded by the per-overlay link budget (one
+  // overlay's worth of neighbors, chosen at random), keeping the flood cost
+  // comparable to SocialTube's N_l-bounded channel flood.
+  void forwardQuery(UserId origin, UserId at, VideoId video,
+                    std::uint64_t queryId, std::vector<UserId> neighbors,
+                    int ttl);
+  // Sends the user's cached inventory to the server directory.
+  void reportInventory(UserId user);
   void onSearchHit(std::uint64_t queryId, UserId provider);
   void askServerDirectory(std::uint64_t queryId);
   // Tag-rebuilt message bodies (see the kind list above).
   void inventoryAtServer(const sim::EventTag& tag);
   void directoryAtServer(const sim::EventTag& tag);
   void applyDirectoryReply(const sim::EventTag& tag);
-  void serverWatch(const sim::EventTag& tag);
   void cachedAtServer(const sim::EventTag& tag);
   void applyCachedReply(const sim::EventTag& tag);
   void resolveSearch(std::uint64_t queryId, UserId provider,
@@ -144,13 +148,7 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   std::vector<Overlays> overlays_;
   std::vector<vod::VideoCache> cache_;
   std::vector<sim::EventHandle> probeTimer_;
-  // Pooled search records; the pool id doubles as the flood query id (never
-  // reused, so it is a valid generation stamp for the dedup array).
-  SlotPool<Search> searches_;
-  // Per-node flood dedup stamps (one uint64 per node, no allocation).
-  vod::QueryDedup queryDedup_;
-  // Indexed by user: the user's in-flight search id, 0 if none.
-  std::vector<std::uint64_t> activeSearch_;
+  vod::SearchTable<Search> searches_;
 };
 
 }  // namespace st::baselines

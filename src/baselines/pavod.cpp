@@ -4,16 +4,7 @@
 
 namespace st::baselines {
 
-namespace {
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-}  // namespace
+using sim::lo32;
 
 PaVodSystem::PaVodSystem(vod::SystemContext& ctx,
                          vod::TransferManager& transfers)
@@ -122,10 +113,7 @@ void PaVodSystem::watchersAtServer(const sim::EventTag& tag) {
              video.value(), 0);
   }
   vod::SystemContext::Payload payload;
-  payload.u.reserve(candidates.size());
-  for (const UserId candidate : candidates) {
-    payload.u.push_back(candidate.value());
-  }
+  payload.u = vod::fromUsers(candidates);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendFromServer(user,
                       sim::makeTag(sim::Component::kPaVod, kWatchersReply,
@@ -136,21 +124,16 @@ void PaVodSystem::watchersAtServer(const sim::EventTag& tag) {
 void PaVodSystem::applyWatchersReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const VideoId video{lo32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
   if (current_[user.index()] != video) return;  // stale reply
   UserId source{lo32(tag.c)};
   if (source.valid() && !ctx_.isOnline(source)) {
     source = UserId::invalid();
   }
   if (source.valid()) ctx_.metrics().countChannelHit();
-  startDownload(user, video, source, toUsers(payload.u),
+  startDownload(user, video, source, vod::toUsers(payload->u),
                 static_cast<sim::SimTime>(tag.d));
 }
 
@@ -170,12 +153,7 @@ void PaVodSystem::startDownload(UserId user, VideoId video, UserId provider,
     request.extraProviders = std::move(extraProviders);
   }
   request.requestTime = requestTime;
-
-  if (!provider.valid()) {
-    // The request is already at the server; it starts serving directly.
-    transfers_.startWatch(std::move(request));
-    return;
-  }
+  // Without a peer the request is already at the server, which serves it.
   transfers_.startWatch(std::move(request));
 }
 
@@ -243,14 +221,10 @@ bool PaVodSystem::loadState(snapshot::Reader& r) {
     return false;
   }
   for (std::size_t i = 0; i < current_.size(); ++i) {
-    current_[i] = VideoId{r.u32()};
+    current_[i] = VideoId{r.id(ctx_.catalog().videoCount(),
+                               "PA-VoD current video", /*noneOk=*/true)};
     haveFull_[i] = r.boolean() ? 1 : 0;
     peerProvider_[i] = r.boolean() ? 1 : 0;
-    if (r.ok() && current_[i].valid() &&
-        current_[i].index() >= ctx_.catalog().videoCount()) {
-      r.fail("PA-VoD current video out of range");
-      return false;
-    }
   }
   return r.ok();
 }

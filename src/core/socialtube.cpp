@@ -17,29 +17,11 @@ bool contains(std::span<const UserId> list, UserId value) {
   return std::find(list.begin(), list.end(), value) != list.end();
 }
 
-std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
-  return static_cast<std::uint64_t>(lo) |
-         (static_cast<std::uint64_t>(hi) << 32);
-}
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-std::uint32_t hi32(std::uint64_t v) {
-  return static_cast<std::uint32_t>(v >> 32);
-}
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-
-std::vector<std::uint32_t> fromUsers(std::span<const UserId> users) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(users.size());
-  for (const UserId user : users) raw.push_back(user.value());
-  return raw;
-}
 }  // namespace
+
+using sim::hi32;
+using sim::lo32;
+using sim::pack;
 
 void SocialTubeSystem::NodeStore::init(std::size_t nodes,
                                        std::uint32_t innerCap,
@@ -104,8 +86,7 @@ SocialTubeSystem::SocialTubeSystem(vod::SystemContext& ctx,
                                    vod::TransferManager& transfers)
     : ctx_(ctx),
       transfers_(transfers),
-      queryDedup_(ctx.catalog().userCount()),
-      activeSearch_(ctx.catalog().userCount(), 0) {
+      searches_(ctx.catalog().userCount(), ctx.catalog().videoCount()) {
   store_.init(
       ctx.catalog().userCount(),
       static_cast<std::uint32_t>(ctx.config().innerLinks * 2) + kLinkSlack,
@@ -169,15 +150,15 @@ sim::Callback SocialTubeSystem::rebuild(const sim::EventTag& tag) {
       return [this, queryId] { retrySearch(queryId); };
     }
     case kServerWatch:
-      return ctx_.wrapStage(tag, [this, tag] { serverWatch(tag); });
+      return ctx_.wrapStage(
+          tag, [this, tag] { transfers_.startServerWatch(tag); });
     case kGossipAtHelper:
       return ctx_.wrapStage(tag, [this, tag] { gossipAtHelper(tag); });
     case kGossipReply:
-      return [this, tag] { applyGossipReply(tag); };  // payload, see kJoinReply
+    case kRepairReply:
+      return [this, tag] { applyLinkReply(tag); };  // payload, see kJoinReply
     case kRepairAtServer:
       return ctx_.wrapStage(tag, [this, tag] { repairAtServer(tag); });
-    case kRepairReply:
-      return [this, tag] { applyRepairReply(tag); };  // payload, see kJoinReply
     default:
       assert(false && "unknown SocialTube event kind");
       return [] {};
@@ -195,7 +176,7 @@ void SocialTubeSystem::discard(const sim::EventTag& tag) {
       ctx_.freePayloadIfLive(tag.b);
       break;
     case kServerWatch:
-      ctx_.freePayloadIfLive(tag.c);
+      transfers_.discardServerWatch(tag);
       break;
     default:
       break;
@@ -237,7 +218,7 @@ bool SocialTubeSystem::onRestored(const sim::EventTag& tag,
     case kJoinAtServer:
       return user(tag.a) && channel(tag.b) && video(tag.c);
     case kServerWatch:
-      return user(tag.a) && video(tag.b);
+      return transfers_.validServerWatch(tag);
     case kGossipAtHelper:
       return user(tag.a32) && user(tag.a) && channel(tag.b);
     case kRepairAtServer:
@@ -262,56 +243,36 @@ vod::VodSystem::NodeStats SocialTubeSystem::nodeStats(UserId user) const {
   return {.links = node.inner.size() + node.inter.size()};
 }
 
-bool SocialTubeSystem::seenQuery(UserId at, std::uint64_t queryId) {
-  return queryDedup_.checkAndMark(at.index(), queryId);
-}
-
-void SocialTubeSystem::abandonSearch(UserId user) {
-  const std::uint64_t queryId = activeSearch_[user.index()];
-  if (queryId == 0) return;
-  if (Search* search = searches_.find(queryId)) {
-    ctx_.sim().cancel(search->deadline);
-    searches_.erase(queryId);
-  }
-  activeSearch_[user.index()] = 0;
-}
-
 // --- links -------------------------------------------------------------------
 
-
-void SocialTubeSystem::connectInner(UserId a, UserId b) {
+void SocialTubeSystem::connect(UserId a, UserId b, bool innerList) {
   if (a == b) return;
   const NodeRef na = store_.ref(a);
   const NodeRef nb = store_.ref(b);
+  const LinkList la = innerList ? na.inner : na.inter;
+  const LinkList lb = innerList ? nb.inner : nb.inter;
   // One side may already hold the link — e.g. b kept a stale entry across
   // a's abrupt departure and relogin. Heal the asymmetry instead of
   // duplicating the entry on the side that still has it.
-  const bool aHas = contains(na.inner, b);
-  const bool bHas = contains(nb.inner, a);
+  const bool aHas = contains(la, b);
+  const bool bHas = contains(lb, a);
   if (aHas && bHas) return;
-  const std::size_t hardCap = ctx_.config().innerLinks * 2;
-  if ((!aHas && na.inner.size() >= hardCap) ||
-      (!bHas && nb.inner.size() >= hardCap)) {
+  const std::size_t hardCap =
+      (innerList ? ctx_.config().innerLinks : ctx_.config().interLinks) * 2;
+  if ((!aHas && la.size() >= hardCap) || (!bHas && lb.size() >= hardCap)) {
     return;
   }
-  if (!aHas) na.inner.push_back(b);
-  if (!bHas) nb.inner.push_back(a);
+  if (!aHas) la.push_back(b);
+  if (!bHas) lb.push_back(a);
 }
 
-void SocialTubeSystem::connectInter(UserId a, UserId b) {
-  if (a == b) return;
-  const NodeRef na = store_.ref(a);
-  const NodeRef nb = store_.ref(b);
-  const bool aHas = contains(na.inter, b);
-  const bool bHas = contains(nb.inter, a);
-  if (aHas && bHas) return;
-  const std::size_t hardCap = ctx_.config().interLinks * 2;
-  if ((!aHas && na.inter.size() >= hardCap) ||
-      (!bHas && nb.inter.size() >= hardCap)) {
-    return;
+void SocialTubeSystem::sendGoodbyes(UserId user, std::span<const UserId> links,
+                                    bool innerList) {
+  for (const UserId n : links) {
+    ctx_.sendUser(user, n,
+                  sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
+                               user.value(), innerList ? 1 : 0));
   }
-  if (!aHas) na.inter.push_back(b);
-  if (!bHas) nb.inter.push_back(a);
 }
 
 void SocialTubeSystem::dropLink(UserId from, UserId gone) {
@@ -358,13 +319,13 @@ void SocialTubeSystem::onLogin(UserId user) {
     node.category = node.lastCategory;
     for (const UserId n : node.lastInner) {
       if (ctx_.isOnline(n) && node.inner.size() < ctx_.config().innerLinks) {
-        connectInner(user, n);
+        connect(user, n, /*innerList=*/true);
       }
     }
     for (const UserId n : node.lastInter) {
       if (ctx_.isOnline(n) &&
           node.inter.size() < ctx_.config().interLinks) {
-        connectInter(user, n);
+        connect(user, n, /*innerList=*/false);
       }
     }
     directory_.add(user, node.channel);
@@ -381,7 +342,7 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
   node.probeTimer = sim::EventHandle{};
 
   // Abandon any in-flight search.
-  abandonSearch(user);
+  searches_.abandon(user, ctx_.sim());
 
   // Remember the neighborhood for next session's reconnect.
   node.lastChannel = node.channel;
@@ -392,16 +353,8 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
   if (graceful) {
     // Goodbye messages let neighbors update immediately; abrupt departures
     // leave stale links until the next probe round.
-    for (const UserId n : node.inner) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 1));
-    }
-    for (const UserId n : node.inter) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 0));
-    }
+    sendGoodbyes(user, node.inner, /*innerList=*/true);
+    sendGoodbyes(user, node.inter, /*innerList=*/false);
   }
   // The server learns of the departure either way (graceful goodbye or
   // session tracking) and clears every membership.
@@ -416,13 +369,7 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
 
 void SocialTubeSystem::leaveOverlays(UserId user, bool notifyNeighbors) {
   const NodeRef node = store_.ref(user);
-  if (notifyNeighbors) {
-    for (const UserId n : node.inner) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 1));
-    }
-  }
+  if (notifyNeighbors) sendGoodbyes(user, node.inner, /*innerList=*/true);
   node.inner.clear();
   // Subscription memberships persist; only a temporary membership in a
   // channel the user merely watched is withdrawn.
@@ -463,28 +410,15 @@ void SocialTubeSystem::joinAtServer(const sim::EventTag& tag) {
   std::vector<UserId> innerCandidates = directory_.randomMembers(
       channel, ctx_.config().innerLinks, user, ctx_.rng());
 
-  // One entry point per sibling channel, capped at N_h, channels visited
-  // in random order.
-  std::vector<UserId> interCandidates;
-  const trace::Category& categoryInfo = ctx_.catalog().category(category);
-  std::vector<ChannelId> siblings;
-  for (const ChannelId sibling : categoryInfo.channels) {
-    if (sibling != channel) siblings.push_back(sibling);
-  }
-  ctx_.rng().shuffle(siblings);
-  for (const ChannelId sibling : siblings) {
-    if (interCandidates.size() >= ctx_.config().interLinks) break;
-    const std::vector<UserId> picked =
-        directory_.randomMembers(sibling, 1, user, ctx_.rng());
-    if (!picked.empty()) interCandidates.push_back(picked.front());
-  }
+  std::vector<UserId> interCandidates =
+      siblingEntryPoints(user, channel, category);
 
   // The server records the join now (the node reported its move).
   directory_.add(user, channel);
 
   vod::SystemContext::Payload payload;
-  payload.u = fromUsers(innerCandidates);
-  payload.v = fromUsers(interCandidates);
+  payload.u = vod::fromUsers(innerCandidates);
+  payload.v = vod::fromUsers(interCandidates);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendFromServer(
       user, sim::makeTag(sim::Component::kSocialTube, kJoinReply,
@@ -496,16 +430,11 @@ void SocialTubeSystem::applyJoinReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const ChannelId channel{lo32(tag.a)};
   const CategoryId category{hi32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  const std::vector<UserId> innerCandidates = toUsers(payload.u);
-  const std::vector<UserId> interCandidates = toUsers(payload.v);
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  const std::vector<UserId> innerCandidates = vod::toUsers(payload->u);
+  const std::vector<UserId> interCandidates = vod::toUsers(payload->v);
 
   const NodeRef node = store_.ref(user);
   const bool categoryChanged = node.category != category;
@@ -518,20 +447,16 @@ void SocialTubeSystem::applyJoinReply(const sim::EventTag& tag) {
 
   for (const UserId candidate : innerCandidates) {
     if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInner(user, candidate);
+    if (ctx_.isOnline(candidate)) connect(user, candidate, /*innerList=*/true);
   }
   if (categoryChanged) {
-    for (const UserId n : node.inter) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 0));
-    }
+    sendGoodbyes(user, node.inter, /*innerList=*/false);
     node.inter.clear();
   }
   for (const UserId candidate : interCandidates) {
     if (node.inter.size() >= ctx_.config().interLinks) break;
     if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInter(user, candidate);
+    if (ctx_.isOnline(candidate)) connect(user, candidate, /*innerList=*/false);
   }
   beginSearch(user, VideoId{lo32(tag.c)}, hi32(tag.c) != 0,
               static_cast<sim::SimTime>(tag.d));
@@ -573,16 +498,14 @@ void SocialTubeSystem::beginSearch(UserId user, VideoId video,
 
   // A previous search may still be pending (e.g. a prefetch-hit body search
   // outliving a very short playback); abandon it before starting anew.
-  abandonSearch(user);
+  searches_.abandon(user, ctx_.sim());
 
   Search search;
   search.user = user;
   search.video = video;
   search.prefetchHit = prefetchHit;
   search.requestTime = requestTime;
-  const std::uint64_t queryId = searches_.insert(search);
-  activeSearch_[user.index()] = queryId;
-  floodChannelPhase(queryId);
+  floodChannelPhase(searches_.start(search));
 }
 
 void SocialTubeSystem::floodChannelPhase(std::uint64_t queryId) {
@@ -612,23 +535,18 @@ void SocialTubeSystem::retrySearch(std::uint64_t staleId) {
   if (searches_.find(staleId) == nullptr) return;  // abandoned during backoff
   Search search = searches_.take(staleId);
   search.deadline = sim::EventHandle{};
-  const UserId user = search.user;
-  if (!ctx_.isOnline(user)) {  // defensive; logout abandons the search
-    activeSearch_[user.index()] = 0;
-    return;
-  }
+  // Defensive; logout abandons the search.
+  if (!ctx_.isOnline(search.user)) return;
   // Re-insert under a fresh pool id: the dedup stamps of the previous
   // attempt would otherwise suppress the whole re-flood.
-  const std::uint64_t queryId = searches_.insert(std::move(search));
-  activeSearch_[user.index()] = queryId;
-  floodChannelPhase(queryId);
+  floodChannelPhase(searches_.start(std::move(search)));
 }
 
 void SocialTubeSystem::floodChannelQuery(UserId origin, UserId at,
                                          VideoId video, std::uint64_t queryId,
                                          int ttl) {
   const NodeRef node = store_.ref(at);
-  if (seenQuery(at, queryId)) return;
+  if (searches_.seen(at, queryId)) return;
   if (node.cache.contains(video)) {
     ctx_.sendUser(at, origin,
                   sim::makeTag(sim::Component::kSocialTube, kSearchHit,
@@ -688,12 +606,12 @@ void SocialTubeSystem::onSearchHit(std::uint64_t queryId, UserId provider) {
   if (search.phase == SearchPhase::kChannel) {
     ctx_.metrics().countChannelHit();
     if (node.inner.size() < ctx_.config().innerLinks) {
-      connectInner(search.user, provider);
+      connect(search.user, provider, /*innerList=*/true);
     }
   } else {
     ctx_.metrics().countCategoryHit();
     if (node.inter.size() < ctx_.config().interLinks) {
-      connectInter(search.user, provider);
+      connect(search.user, provider, /*innerList=*/false);
     }
   }
   resolveSearch(queryId, provider);
@@ -725,7 +643,6 @@ void SocialTubeSystem::resolveSearch(std::uint64_t queryId, UserId provider) {
   assert(searches_.find(queryId) != nullptr);
   const Search search = searches_.take(queryId);
   ctx_.sim().cancel(search.deadline);
-  activeSearch_[search.user.index()] = 0;
   if (!ctx_.isOnline(search.user)) return;
   startDownload(search.user, search.video, provider, search.prefetchHit,
                 search.requestTime);
@@ -760,38 +677,10 @@ void SocialTubeSystem::startDownload(UserId user, VideoId video,
   request.reportPlayback = !prefetchHit;
 
   if (!provider.valid()) {
-    // Server path: the request travels to the server, which starts the flow.
-    // The variable-length striping list rides in the payload pool.
-    vod::SystemContext::Payload payload;
-    payload.u = fromUsers(request.extraProviders);
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(
-        user, sim::makeTag(sim::Component::kSocialTube, kServerWatch,
-                           user.value(),
-                           pack(video.value(), prefetchHit ? 1 : 0), payloadId,
-                           static_cast<std::uint64_t>(requestTime)));
+    transfers_.requestFromServer(sim::Component::kSocialTube, kServerWatch,
+                                 std::move(request));
     return;
   }
-  transfers_.startWatch(std::move(request));
-}
-
-void SocialTubeSystem::serverWatch(const sim::EventTag& tag) {
-  const UserId user{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.c)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.c);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.c);
-  const bool prefetchHit = hi32(tag.b) != 0;
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = VideoId{lo32(tag.b)};
-  request.provider = UserId::invalid();
-  request.extraProviders = toUsers(payload.u);
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = static_cast<sim::SimTime>(tag.d);
-  request.reportPlayback = !prefetchHit;
   transfers_.startWatch(std::move(request));
 }
 
@@ -880,36 +769,33 @@ void SocialTubeSystem::gossipAtHelper(const sim::EventTag& tag) {
   const ChannelId channel{lo32(tag.b)};
   const NodeRef helperNode = store_.ref(helper);
   vod::SystemContext::Payload payload;
-  payload.u = fromUsers(helperNode.inner);
-  payload.v = fromUsers(helperNode.inter);
+  payload.u = vod::fromUsers(helperNode.inner);
+  payload.v = vod::fromUsers(helperNode.inter);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendUser(helper, user,
                 sim::makeTag(sim::Component::kSocialTube, kGossipReply,
                              channel.value(), payloadId));
 }
 
-void SocialTubeSystem::applyGossipReply(const sim::EventTag& tag) {
+void SocialTubeSystem::applyLinkReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const ChannelId channel{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.b)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
+  const std::optional<vod::SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
   const NodeRef node = store_.ref(user);
-  if (node.channel != channel) return;  // switched since
-  for (const std::uint32_t raw : payload.u) {
+  if (node.channel != channel) return;  // switched since the request
+  for (const std::uint32_t raw : payload->u) {
     const UserId candidate{raw};
     if (node.inner.size() >= ctx_.config().innerLinks) break;
     if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInner(user, candidate);
+    if (ctx_.isOnline(candidate)) connect(user, candidate, /*innerList=*/true);
   }
-  for (const std::uint32_t raw : payload.v) {
+  for (const std::uint32_t raw : payload->v) {
     const UserId candidate{raw};
     if (node.inter.size() >= ctx_.config().interLinks) break;
     if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInter(user, candidate);
+    if (ctx_.isOnline(candidate)) connect(user, candidate, /*innerList=*/false);
   }
 }
 
@@ -1023,59 +909,41 @@ void SocialTubeSystem::repairAtServer(const sim::EventTag& tag) {
       directory_.randomMembers(channel, needInner, user, ctx_.rng());
   std::vector<UserId> interCandidates;
   if (needInter && category.valid()) {
-    const trace::Category& categoryInfo = ctx_.catalog().category(category);
-    std::vector<ChannelId> siblings;
-    for (const ChannelId sibling : categoryInfo.channels) {
-      if (sibling != channel) siblings.push_back(sibling);
-    }
-    ctx_.rng().shuffle(siblings);
-    for (const ChannelId sibling : siblings) {
-      if (interCandidates.size() >= ctx_.config().interLinks) break;
-      const std::vector<UserId> picked =
-          directory_.randomMembers(sibling, 1, user, ctx_.rng());
-      if (!picked.empty()) interCandidates.push_back(picked.front());
-    }
+    interCandidates = siblingEntryPoints(user, channel, category);
   }
   vod::SystemContext::Payload payload;
-  payload.u = fromUsers(innerCandidates);
-  payload.v = fromUsers(interCandidates);
+  payload.u = vod::fromUsers(innerCandidates);
+  payload.v = vod::fromUsers(interCandidates);
   const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
   ctx_.sendFromServer(user,
                       sim::makeTag(sim::Component::kSocialTube, kRepairReply,
                                    channel.value(), payloadId));
 }
 
-void SocialTubeSystem::applyRepairReply(const sim::EventTag& tag) {
-  const UserId user{tag.a32};
-  const ChannelId channel{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.b)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
+std::vector<UserId> SocialTubeSystem::siblingEntryPoints(UserId user,
+                                                         ChannelId channel,
+                                                         CategoryId category) {
+  std::vector<ChannelId> siblings;
+  for (const ChannelId sibling : ctx_.catalog().category(category).channels) {
+    if (sibling != channel) siblings.push_back(sibling);
   }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  const NodeRef node = store_.ref(user);
-  if (node.channel != channel) return;  // switched since the request
-  for (const std::uint32_t raw : payload.u) {
-    const UserId candidate{raw};
-    if (node.inner.size() >= ctx_.config().innerLinks) break;
-    if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInner(user, candidate);
+  ctx_.rng().shuffle(siblings);
+  std::vector<UserId> entryPoints;
+  for (const ChannelId sibling : siblings) {
+    if (entryPoints.size() >= ctx_.config().interLinks) break;
+    const std::vector<UserId> picked =
+        directory_.randomMembers(sibling, 1, user, ctx_.rng());
+    if (!picked.empty()) entryPoints.push_back(picked.front());
   }
-  for (const std::uint32_t raw : payload.v) {
-    const UserId candidate{raw};
-    if (node.inter.size() >= ctx_.config().interLinks) break;
-    if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInter(user, candidate);
-  }
+  return entryPoints;
 }
 
 // --- invariant audit ----------------------------------------------------------
 
 void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
-  // Hard caps: connectInner/connectInter admit a link while either side is
-  // below 2*N_l (resp. 2*N_h) — the soft budget N_l/N_h steers link
-  // *seeking*, the doubled cap is what the structure guarantees.
+  // Hard caps: connect() admits a link while either side is below 2*N_l
+  // (resp. 2*N_h) — the soft budget N_l/N_h steers link *seeking*, the
+  // doubled cap is what the structure guarantees.
   const std::size_t innerCap = ctx_.config().innerLinks * 2;
   const std::size_t interCap = ctx_.config().interLinks * 2;
 
@@ -1197,25 +1065,12 @@ void SocialTubeSystem::saveState(snapshot::Writer& w) const {
     saveList(node.lastInter);
     node.cache.saveState(w);
   }
-  w.u64(searches_.slotCount());
-  searches_.visitSlots([&w](std::uint32_t, bool live, std::uint32_t gen,
-                            std::uint32_t nextFree, const Search& search) {
-    w.boolean(live);
-    w.u32(gen);
-    w.u32(nextFree);
-    if (!live) return;
-    w.u32(search.user.value());
-    w.u32(search.video.value());
+  searches_.saveState(w, [](snapshot::Writer& w, const Search& search) {
     w.u8(static_cast<std::uint8_t>(search.phase));
     w.boolean(search.prefetchHit);
     w.u32(search.attempt);
     w.i64(search.requestTime);
   });
-  w.u32(searches_.freeHead());
-  w.u64(queryDedup_.marks().size());
-  for (const std::uint64_t mark : queryDedup_.marks()) w.u64(mark);
-  w.u64(activeSearch_.size());
-  for (const std::uint64_t id : activeSearch_) w.u64(id);
 }
 
 bool SocialTubeSystem::loadState(snapshot::Reader& r) {
@@ -1234,68 +1089,39 @@ bool SocialTubeSystem::loadState(snapshot::Reader& r) {
       return;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const UserId user{r.u32()};
-      if (r.ok() && user.index() >= store_.size()) {
-        r.fail("SocialTube link user out of range");
-        return;
-      }
-      list.push_back(user);
+      list.push_back(UserId{r.id(store_.size(), "SocialTube link user")});
     }
   };
+  // Channel and category ids index the catalog; "none" (the invalid id)
+  // is legal.
+  const std::size_t channels = ctx_.catalog().channelCount();
+  const std::size_t categories = ctx_.catalog().categoryCount();
   for (std::size_t i = 0; i < store_.size(); ++i) {
     const NodeRef node = store_.ref(UserId{static_cast<std::uint32_t>(i)});
-    node.channel = ChannelId{r.u32()};
-    node.category = CategoryId{r.u32()};
+    node.channel =
+        ChannelId{r.id(channels, "SocialTube node channel", /*noneOk=*/true)};
+    node.category = CategoryId{
+        r.id(categories, "SocialTube node category", /*noneOk=*/true)};
     loadList(node.inner);
     loadList(node.inter);
-    node.lastChannel = ChannelId{r.u32()};
-    node.lastCategory = CategoryId{r.u32()};
+    node.lastChannel = ChannelId{
+        r.id(channels, "SocialTube node lastChannel", /*noneOk=*/true)};
+    node.lastCategory = CategoryId{
+        r.id(categories, "SocialTube node lastCategory", /*noneOk=*/true)};
     loadList(node.lastInner);
     loadList(node.lastInter);
-    if (!node.cache.loadState(r)) return false;
+    if (!node.cache.loadState(r, ctx_.catalog().videoCount())) return false;
     node.probeTimer = sim::EventHandle{};
     if (!r.ok()) return false;
   }
-  const std::size_t slots = r.count(1 + 4 + 4);
-  searches_.beginRestore();
-  for (std::size_t i = 0; i < slots; ++i) {
-    const bool live = r.boolean();
-    const std::uint32_t gen = r.u32();
-    const std::uint32_t nextFree = r.u32();
-    Search search;
-    if (live) {
-      search.user = UserId{r.u32()};
-      search.video = VideoId{r.u32()};
-      search.phase = static_cast<SearchPhase>(r.u8());
-      search.prefetchHit = r.boolean();
-      search.attempt = r.u32();
-      search.requestTime = r.i64();
-      if (r.ok() && search.user.index() >= store_.size()) {
-        r.fail("SocialTube search user out of range");
-        return false;
-      }
-    }
-    if (!r.ok()) return false;
-    searches_.restoreSlot(live, gen, nextFree, std::move(search));
-  }
-  const std::uint32_t freeHead = r.u32();
-  if (!r.ok() || !searches_.finishRestore(freeHead)) {
-    r.fail("SocialTube search pool free list corrupt");
-    return false;
-  }
-  std::vector<std::uint64_t> marks(r.count(8));
-  for (std::uint64_t& mark : marks) mark = r.u64();
-  if (!r.ok() || !queryDedup_.restoreMarks(std::move(marks))) {
-    r.fail("SocialTube dedup mark count mismatch");
-    return false;
-  }
-  const std::size_t activeCount = r.count(8);
-  if (!r.ok() || activeCount != activeSearch_.size()) {
-    r.fail("SocialTube active-search count mismatch");
-    return false;
-  }
-  for (std::uint64_t& id : activeSearch_) id = r.u64();
-  return r.ok();
+  return searches_.loadState(
+      r, "SocialTube", [](snapshot::Reader& in, Search& search) {
+        search.phase = static_cast<SearchPhase>(in.u8());
+        search.prefetchHit = in.boolean();
+        search.attempt = in.u32();
+        search.requestTime = in.i64();
+        return true;
+      });
 }
 
 }  // namespace st::core

@@ -30,10 +30,9 @@
 #include <span>
 #include <vector>
 
-#include "util/slot_pool.h"
 #include "vod/context.h"
 #include "vod/membership.h"
-#include "vod/query_dedup.h"
+#include "vod/search_table.h"
 #include "vod/system.h"
 #include "vod/transfer.h"
 #include "vod/video_cache.h"
@@ -50,9 +49,9 @@ using SubscriberDirectory = vod::MembershipDirectory<ChannelId>;
 // flat neighbor arena inside the node store. Copying the view is cheap
 // (pointer + count cell + cap); mutations write through to the arena, so
 // every view of the same slice observes them. Capacity is the audit's hard
-// cap (2*N — connectInner/connectInter admit links up to the doubled soft
-// budget) plus a little slack that lets the test-only corruption hook push a
-// list past the cap the invariant checker enforces.
+// cap (2*N — connect() admits links up to the doubled soft budget) plus a
+// little slack that lets the test-only corruption hook push a list past the
+// cap the invariant checker enforces.
 class LinkList {
  public:
   LinkList(UserId* data, std::uint32_t* count, std::uint32_t cap)
@@ -106,8 +105,8 @@ class SocialTubeSystem final : public vod::VodSystem,
   static constexpr std::uint8_t kEnterCategory = 6;  // a = queryId (deadline)
   static constexpr std::uint8_t kFallbackEvent = 7;  // a = queryId (deadline)
   static constexpr std::uint8_t kRetryEvent = 8;     // a = queryId (backoff)
-  static constexpr std::uint8_t kServerWatch = 9;    // a=user b=video|hit<<32
-                                                     // c=payload d=reqT
+  static constexpr std::uint8_t kServerWatch = 9;    // TransferManager's
+                                                     // server-watch layout
   static constexpr std::uint8_t kGossipAtHelper = 10;  // a=user b=channel
   static constexpr std::uint8_t kGossipReply = 11;     // a=channel b=payload
   static constexpr std::uint8_t kRepairAtServer = 12;  // a=user b=chan|cat<<32
@@ -274,14 +273,23 @@ class SocialTubeSystem final : public vod::VodSystem,
   // Tag-rebuilt message bodies (see the kind list above).
   void joinAtServer(const sim::EventTag& tag);
   void applyJoinReply(const sim::EventTag& tag);
-  void serverWatch(const sim::EventTag& tag);
   void gossipAtHelper(const sim::EventTag& tag);
-  void applyGossipReply(const sim::EventTag& tag);
   void repairAtServer(const sim::EventTag& tag);
-  void applyRepairReply(const sim::EventTag& tag);
+  // kGossipReply / kRepairReply: link to the offered inner and inter
+  // candidates, up to the N_l / N_h budgets.
+  void applyLinkReply(const sim::EventTag& tag);
+  // At the server: one online entry point per sibling channel of
+  // `category`, capped at N_h, channels visited in random order.
+  [[nodiscard]] std::vector<UserId> siblingEntryPoints(UserId user,
+                                                       ChannelId channel,
+                                                       CategoryId category);
   void leaveOverlays(UserId user, bool notifyNeighbors);
-  void connectInner(UserId a, UserId b);
-  void connectInter(UserId a, UserId b);
+  void sendGoodbyes(UserId user, std::span<const UserId> links,
+                    bool innerList);
+  // Links a and b in their inner (or inter) lists, healing a one-sided
+  // entry; refused while either side that lacks the link is at the hard
+  // cap 2*N_l (or 2*N_h).
+  void connect(UserId a, UserId b, bool innerList);
   void dropLink(UserId from, UserId gone);
   void onGoodbye(UserId at, UserId from, bool innerList);
 
@@ -313,21 +321,11 @@ class SocialTubeSystem final : public vod::VodSystem,
   // no live neighbor can help and the server path should run instead.
   bool gossipRepairLinks(UserId user);
 
-  [[nodiscard]] bool seenQuery(UserId at, std::uint64_t queryId);
-  // Abandons the user's in-flight search, if any (logout, new request).
-  void abandonSearch(UserId user);
-
   vod::SystemContext& ctx_;
   vod::TransferManager& transfers_;
   SubscriberDirectory directory_;
   NodeStore store_;
-  // Search records are pooled; the pool id doubles as the flood query id
-  // (never reused, so it is a valid generation stamp for the dedup array).
-  SlotPool<Search> searches_;
-  // Per-node flood dedup stamps (one uint64 per node, no allocation).
-  vod::QueryDedup queryDedup_;
-  // Indexed by user: the user's in-flight search id, 0 if none.
-  std::vector<std::uint64_t> activeSearch_;
+  vod::SearchTable<Search> searches_;
 };
 
 }  // namespace st::core

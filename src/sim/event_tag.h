@@ -87,6 +87,18 @@ inline EventTag makeTag(Component component, std::uint8_t kind,
   return tag;
 }
 
+// Tag words: two 32-bit ids share one 64-bit argument word as lo | hi << 32.
+inline constexpr std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
+  return static_cast<std::uint64_t>(lo) |
+         (static_cast<std::uint64_t>(hi) << 32);
+}
+inline constexpr std::uint32_t lo32(std::uint64_t word) {
+  return static_cast<std::uint32_t>(word);
+}
+inline constexpr std::uint32_t hi32(std::uint64_t word) {
+  return static_cast<std::uint32_t>(word >> 32);
+}
+
 // Per-component closure factory. rebuild() is called at schedule time *and*
 // at restore time; it must be a pure function of the tag plus component
 // state. discard() fires when a tagged message is lost in the network

@@ -156,6 +156,18 @@ class Reader {
     pos_ += size;
   }
 
+  // Reads a u32 id that indexes a table of `limit` entries; the invalid
+  // (all-ones) id passes too when `noneOk`. Any other value fails naming
+  // `field`: the CRC proves integrity, not that an id is in range.
+  std::uint32_t id(std::uint64_t limit, std::string_view field,
+                   bool noneOk = false) {
+    const std::uint32_t v = u32();
+    if (ok() && v >= limit && !(noneOk && v == ~std::uint32_t{0})) {
+      fail(std::string(field) + " out of range");
+    }
+    return v;
+  }
+
   // Reads a section tag and latches an error if it is not `expected`.
   void section(std::uint32_t expected, const char* name) {
     const std::uint32_t got = u32();

@@ -20,6 +20,8 @@
 #include <deque>
 #include <utility>
 
+#include "snapshot/codec.h"
+
 namespace st {
 
 template <typename T>
@@ -86,51 +88,49 @@ class SlotPool {
   // --- checkpoint/restore -----------------------------------------------------
   // Ids are (generation << 32 | slot), so restoring outstanding ids exactly
   // requires persisting the whole arena: every slot's generation and free-
-  // list linkage, live or not. visitSlots walks slots in index order;
-  // beginRestore/restoreSlot/finishRestore rebuild the identical arena.
-  static constexpr std::uint32_t kNoFreeSlot = ~std::uint32_t{0};
-
-  [[nodiscard]] std::size_t slotCount() const { return slots_.size(); }
-  [[nodiscard]] std::uint32_t freeHead() const { return freeHead_; }
-
-  // fn(index, live, gen, nextFree, const T& value) — value is default for
-  // free slots.
-  template <typename Fn>
-  void visitSlots(Fn&& fn) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& slot = slots_[i];
-      fn(static_cast<std::uint32_t>(i), slot.live, slot.gen, slot.nextFree,
-         slot.value);
-    }
-  }
-
-  void beginRestore() {
-    slots_.clear();
-    freeHead_ = kNoFree;
-    size_ = 0;
-  }
-  void restoreSlot(bool live, std::uint32_t gen, std::uint32_t nextFree,
-                   T value) {
-    slots_.push_back(Slot{std::move(value), gen, nextFree, live});
-    if (live) ++size_;
-  }
-  // Validates the free list (every link in range, every free slot on it
-  // exactly once); false leaves the pool empty rather than inconsistent.
-  bool finishRestore(std::uint32_t freeHead) {
-    std::size_t freeSlots = 0;
+  // list linkage, live or not. The framing is the slot count, then per slot
+  // (live, generation, next free, the record if live), then the free-list
+  // head; the owner supplies only the record's own fields.
+  //
+  // writeRecord(w, const T&) writes one live record.
+  template <typename WriteRecord>
+  void saveState(snapshot::Writer& w, WriteRecord&& writeRecord) const {
+    w.u64(slots_.size());
     for (const Slot& slot : slots_) {
-      if (!slot.live) ++freeSlots;
+      w.boolean(slot.live);
+      w.u32(slot.gen);
+      w.u32(slot.nextFree);
+      if (slot.live) writeRecord(w, slot.value);
     }
-    std::size_t walked = 0;
-    for (std::uint32_t at = freeHead; at != kNoFree;
-         at = slots_[at].nextFree) {
-      if (at >= slots_.size() || slots_[at].live || ++walked > freeSlots) {
-        beginRestore();
-        return false;
+    w.u32(freeHead_);
+  }
+
+  // readRecord(r, T&) reads one live record and returns false to reject it
+  // (after calling r.fail() with a message naming the field). A rejected
+  // record or a bad free list (a link out of range or to a live slot, a
+  // cycle, a free slot missing from the list) fails the reader and leaves
+  // the pool empty rather than inconsistent.
+  template <typename ReadRecord>
+  bool loadState(snapshot::Reader& r, ReadRecord&& readRecord) {
+    clear();
+    const std::size_t count = r.count(1 + 4 + 4);
+    for (std::size_t i = 0; i < count && r.ok(); ++i) {
+      Slot slot;
+      slot.live = r.boolean();
+      slot.gen = r.u32();
+      slot.nextFree = r.u32();
+      if (slot.live && r.ok() && !readRecord(r, slot.value)) {
+        r.fail("slot pool record rejected");
       }
+      if (slot.live) ++size_;
+      slots_.push_back(std::move(slot));
     }
-    if (walked != freeSlots) {
-      beginRestore();
+    const std::uint32_t freeHead = r.u32();
+    if (r.ok() && !validFreeList(freeHead)) {
+      r.fail("slot pool free list corrupt");
+    }
+    if (!r.ok()) {
+      clear();
       return false;
     }
     freeHead_ = freeHead;
@@ -146,6 +146,25 @@ class SlotPool {
     std::uint32_t nextFree = kNoFree;
     bool live = false;
   };
+
+  void clear() {
+    slots_.clear();
+    freeHead_ = kNoFree;
+    size_ = 0;
+  }
+
+  // Every link in range and to a free slot, and every free slot on the
+  // list exactly once.
+  [[nodiscard]] bool validFreeList(std::uint32_t head) const {
+    const std::size_t freeSlots = slots_.size() - size_;
+    std::size_t walked = 0;
+    for (std::uint32_t at = head; at != kNoFree; at = slots_[at].nextFree) {
+      if (at >= slots_.size() || slots_[at].live || ++walked > freeSlots) {
+        return false;
+      }
+    }
+    return walked == freeSlots;
+  }
 
   static Id makeId(std::uint32_t index, std::uint32_t gen) {
     return (static_cast<Id>(gen) << 32) | index;

@@ -156,24 +156,14 @@ std::uint64_t SystemContext::stashPayload(Payload payload) {
   return id;
 }
 
-SystemContext::Payload& SystemContext::payload(std::uint64_t id) {
+std::optional<SystemContext::Payload> SystemContext::receivePayload(
+    std::uint64_t id, UserId user) {
   const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  return it->second;
-}
-
-SystemContext::Payload SystemContext::takePayload(std::uint64_t id) {
-  const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  Payload out = std::move(it->second);
+  if (it == payloads_.end()) return std::nullopt;
+  std::optional<Payload> out;
+  if (isOnline(user)) out = std::move(it->second);
   payloads_.erase(it);
   return out;
-}
-
-void SystemContext::freePayload(std::uint64_t id) {
-  const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  payloads_.erase(it);
 }
 
 void SystemContext::saveState(snapshot::Writer& w) const {

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -22,6 +24,20 @@
 #include "vod/metrics.h"
 
 namespace st::vod {
+
+// Payload id lists: users travel as their raw 32-bit values.
+inline std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
+  std::vector<UserId> users;
+  users.reserve(raw.size());
+  for (const std::uint32_t value : raw) users.push_back(UserId{value});
+  return users;
+}
+inline std::vector<std::uint32_t> fromUsers(std::span<const UserId> users) {
+  std::vector<std::uint32_t> raw;
+  raw.reserve(users.size());
+  for (const UserId user : users) raw.push_back(user.value());
+  return raw;
+}
 
 class SystemContext final {
  public:
@@ -131,31 +147,25 @@ class SystemContext final {
   // --- payload pool ----------------------------------------------------------
   // Serializable side-storage for event arguments that do not fit in a
   // 40-byte tag (provider lists, gossip digests). The event's tag carries
-  // the pool id; the consuming action (or the factory's discard() when the
-  // message is lost) frees the entry explicitly — entries are never
-  // reference-counted and cancellable events must not carry payloads.
+  // the pool id; the consuming handler (receivePayload) or the factory's
+  // discard() when the message is lost frees the entry explicitly — entries
+  // are never reference-counted and cancellable events must not carry
+  // payloads.
   struct Payload {
     std::vector<std::uint32_t> u;
     std::vector<std::uint32_t> v;
     std::uint64_t x = 0;
   };
   std::uint64_t stashPayload(Payload payload);
-  // Live payload lookup; asserts on stale/unknown ids (a leak or double
-  // free would silently corrupt a restore otherwise).
-  [[nodiscard]] Payload& payload(std::uint64_t id);
-  // Moves the payload out and frees the entry.
-  Payload takePayload(std::uint64_t id);
-  void freePayload(std::uint64_t id);
-  // Duplicate-delivery tolerance: under dup fault windows the same tag (and
-  // so the same payload id) can be delivered twice; the first consumer wins
-  // and the copy must detect the freed entry instead of asserting. Handlers
-  // gate on payloadLive() before takePayload(); factories free with
-  // freePayloadIfLive() from discard().
-  [[nodiscard]] bool payloadLive(std::uint64_t id) const {
-    return payloads_.count(id) != 0;
-  }
+  // Receipt of a payload-carrying message at `user`, in one order for every
+  // handler: a freed id is a duplicated delivery (under dup fault windows
+  // the same tag arrives twice and the first copy consumed the payload), so
+  // the copy is a no-op; an offline receiver frees the payload; otherwise
+  // the payload is moved out. Empty means the handler does nothing.
+  std::optional<Payload> receivePayload(std::uint64_t id, UserId user);
+  // For discard(): the dropped message may be the second copy of one whose
+  // first delivery already consumed the payload.
   void freePayloadIfLive(std::uint64_t id) { payloads_.erase(id); }
-  [[nodiscard]] std::size_t livePayloads() const { return payloads_.size(); }
 
   // Checkpoint/restore: protocol RNG, presence/release flags, breaker
   // board, and the payload pool. Endpoint wiring and overload policies are

@@ -122,6 +122,46 @@ void TransferManager::startWatch(WatchRequest request) {
   beginFirstChunk(id, w.provider, asset.chunkBytes);
 }
 
+void TransferManager::requestFromServer(sim::Component component,
+                                        std::uint8_t kind,
+                                        WatchRequest request) {
+  assert(!request.provider.valid());
+  assert(request.reportPlayback == !request.firstChunkCached);
+  // The variable-length striping list rides in the payload pool.
+  SystemContext::Payload payload;
+  payload.u = fromUsers(request.extraProviders);
+  const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
+  ctx_.sendToServer(
+      request.user,
+      sim::makeTag(component, kind, request.user.value(),
+                   sim::pack(request.video.value(),
+                             request.firstChunkCached ? 1 : 0),
+                   payloadId, static_cast<std::uint64_t>(request.requestTime)));
+}
+
+void TransferManager::startServerWatch(const sim::EventTag& tag) {
+  WatchRequest request;
+  request.user = UserId{sim::lo32(tag.a)};
+  const std::optional<SystemContext::Payload> payload =
+      ctx_.receivePayload(tag.c, request.user);
+  if (!payload) return;
+  request.video = VideoId{sim::lo32(tag.b)};
+  request.provider = UserId::invalid();
+  request.firstChunkCached = sim::hi32(tag.b) != 0;
+  request.extraProviders = toUsers(payload->u);
+  request.requestTime = static_cast<sim::SimTime>(tag.d);
+  request.reportPlayback = !request.firstChunkCached;
+  startWatch(std::move(request));
+}
+
+void TransferManager::discardServerWatch(const sim::EventTag& tag) {
+  ctx_.freePayloadIfLive(tag.c);
+}
+
+bool TransferManager::validServerWatch(const sim::EventTag& tag) const {
+  return ctx_.validUser(sim::lo32(tag.a)) && ctx_.validVideo(sim::lo32(tag.b));
+}
+
 void TransferManager::beginFirstChunk(WatchId id, UserId provider,
                                       std::uint64_t bytesRemaining) {
   Watch& watch = *watches_.find(id);
@@ -581,13 +621,7 @@ void TransferManager::failOverToServer(FlowId flow, std::uint64_t bytesDone) {
 
 void TransferManager::saveState(snapshot::Writer& w) const {
   w.section(0x52454658);  // "XFER"
-  w.u64(watches_.slotCount());
-  watches_.visitSlots([&w](std::uint32_t, bool live, std::uint32_t gen,
-                           std::uint32_t nextFree, const Watch& watch) {
-    w.boolean(live);
-    w.u32(gen);
-    w.u32(nextFree);
-    if (!live) return;
+  watches_.saveState(w, [](snapshot::Writer& w, const Watch& watch) {
     w.u32(watch.user.value());
     w.u32(watch.video.value());
     w.u32(watch.provider.value());
@@ -612,7 +646,6 @@ void TransferManager::saveState(snapshot::Writer& w) const {
     w.u64(watch.phaseCredited);
     w.boolean(watch.playbackPending);
   });
-  w.u32(watches_.freeHead());
   w.u64(userWatches_.size());
   for (const std::vector<WatchId>& list : userWatches_) {
     w.u64(list.size());
@@ -637,55 +670,48 @@ void TransferManager::saveState(snapshot::Writer& w) const {
 
 bool TransferManager::loadState(snapshot::Reader& r) {
   r.section(0x52454658, "transfer manager");
-  const std::size_t slotCount = r.count(1 + 4 + 4);
-  if (!r.ok()) return false;
-  watches_.beginRestore();
-  for (std::size_t i = 0; i < slotCount; ++i) {
-    const bool live = r.boolean();
-    const std::uint32_t gen = r.u32();
-    const std::uint32_t nextFree = r.u32();
-    Watch watch;
-    if (live) {
-      watch.user = UserId{r.u32()};
-      watch.video = VideoId{r.u32()};
-      watch.provider = UserId{r.u32()};
-      watch.extraProviders.resize(r.count(4));
-      for (UserId& extra : watch.extraProviders) extra = UserId{r.u32()};
-      const std::uint8_t phase = r.u8();
-      watch.requestTime = r.i64();
-      watch.bodyStart = r.i64();
-      watch.flow = FlowId{r.u32()};
-      watch.segments.resize(r.count(4 + 4 + 8 + 8 + 8 + 8 + 1));
-      for (Segment& segment : watch.segments) {
-        segment.flow = FlowId{r.u32()};
-        segment.provider = UserId{r.u32()};
-        segment.chunks = r.u64();
-        segment.bytes = r.u64();
-        segment.bytesDone = r.u64();
-        segment.credited = r.u64();
-        segment.done = r.boolean();
-      }
-      watch.phaseBytes = r.u64();
-      watch.phaseBytesDone = r.u64();
-      watch.phaseCredited = r.u64();
-      watch.playbackPending = r.boolean();
-      if (!r.ok()) return false;
-      if (phase > static_cast<std::uint8_t>(Phase::kBody) ||
-          watch.user.index() >= userWatches_.size()) {
-        r.fail("watch record out of range");
-        return false;
-      }
-      watch.phase = static_cast<Phase>(phase);
+  // Every restored id is checked before anything indexes with it: users
+  // and videos name catalog entries, and a provider is a user or the
+  // origin server (the invalid id).
+  const std::size_t userCount = ctx_.catalog().userCount();
+  const std::size_t videoCount = ctx_.catalog().videoCount();
+  const auto provider = [&r, userCount](const char* field) {
+    return UserId{r.id(userCount, field, /*noneOk=*/true)};
+  };
+  const bool arena = watches_.loadState(r, [&](snapshot::Reader&,
+                                               Watch& watch) {
+    watch.user = UserId{r.id(userCount, "watch user")};
+    watch.video = VideoId{r.id(videoCount, "watch video")};
+    watch.provider = provider("watch provider");
+    watch.extraProviders.resize(r.count(4));
+    for (UserId& extra : watch.extraProviders) {
+      extra = provider("watch extra provider");
     }
-    if (!r.ok()) return false;
-    watches_.restoreSlot(live, gen, nextFree, std::move(watch));
-  }
-  const std::uint32_t freeHead = r.u32();
-  if (!r.ok()) return false;
-  if (!watches_.finishRestore(freeHead)) {
-    r.fail("watch arena free list corrupt");
-    return false;
-  }
+    const std::uint8_t phase = r.u8();
+    watch.requestTime = r.i64();
+    watch.bodyStart = r.i64();
+    watch.flow = FlowId{r.u32()};
+    watch.segments.resize(r.count(4 + 4 + 8 + 8 + 8 + 8 + 1));
+    for (Segment& segment : watch.segments) {
+      segment.flow = FlowId{r.u32()};
+      segment.provider = provider("segment provider");
+      segment.chunks = r.u64();
+      segment.bytes = r.u64();
+      segment.bytesDone = r.u64();
+      segment.credited = r.u64();
+      segment.done = r.boolean();
+    }
+    watch.phaseBytes = r.u64();
+    watch.phaseBytesDone = r.u64();
+    watch.phaseCredited = r.u64();
+    watch.playbackPending = r.boolean();
+    if (r.ok() && phase > static_cast<std::uint8_t>(Phase::kBody)) {
+      r.fail("watch phase out of range");
+    }
+    watch.phase = static_cast<Phase>(phase);
+    return r.ok();
+  });
+  if (!arena) return false;
   const std::size_t users = r.count(8);
   if (!r.ok() || users != userWatches_.size()) {
     r.fail("transfer user count mismatch");
@@ -719,15 +745,11 @@ bool TransferManager::loadState(snapshot::Reader& r) {
   for (std::size_t i = 0; i < prefetchCount; ++i) {
     const FlowId flow{r.u32()};
     Prefetch prefetch;
-    prefetch.user = UserId{r.u32()};
-    prefetch.video = VideoId{r.u32()};
-    prefetch.provider = UserId{r.u32()};
+    prefetch.user = UserId{r.id(userCount, "prefetch user")};
+    prefetch.video = VideoId{r.id(videoCount, "prefetch video")};
+    prefetch.provider = provider("prefetch provider");
     prefetch.fromPeer = r.boolean();
     if (!r.ok()) return false;
-    if (prefetch.user.index() >= prefetchInFlight_.size()) {
-      r.fail("prefetch record out of range");
-      return false;
-    }
     prefetches_.emplace(flow, prefetch);
   }
   const std::size_t inFlightCount = r.count(4);

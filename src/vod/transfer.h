@@ -105,6 +105,25 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   // time) and is silently dropped; see watchDuplicatesSuppressed().
   void startWatch(WatchRequest request);
 
+  // --- server watches --------------------------------------------------------
+  // A watch with no peer provider is requested from the origin server: the
+  // request travels to the server, which starts the flows on arrival. The
+  // requesting system sends it under its own component and tag kind (so
+  // per-layer attribution and pending-event bytes stay the system's) and
+  // routes that kind's rebuild, discard and onRestored here. Tag layout:
+  // a = user, b = video | firstChunkCached << 32, c = payload holding the
+  // striping list, d = request time. reportPlayback must equal
+  // !firstChunkCached, which is how the server side rebuilds it.
+  void requestFromServer(sim::Component component, std::uint8_t kind,
+                         WatchRequest request);
+  // At the server (kServerRun): starts the watch unless the message is a
+  // duplicated delivery or the user went offline.
+  void startServerWatch(const sim::EventTag& tag);
+  // The request was lost in the network: frees its payload.
+  void discardServerWatch(const sim::EventTag& tag);
+  // Restore check: the user and video words name catalog entries.
+  [[nodiscard]] bool validServerWatch(const sim::EventTag& tag) const;
+
   // Prefetch the first chunk of `video` from `provider` (or the server when
   // invalid). The client's prefetchArrived(user, video, fromPeer) fires when
   // the chunk lands; silently dropped if either side churns first.

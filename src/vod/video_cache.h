@@ -52,20 +52,23 @@ class VideoCache {
 
   // Checkpoint/restore: insertion order is behavioral (FIFO eviction and
   // randomVideo() draws by position), so both ordered sequences persist
-  // verbatim and the hash sets are rebuilt from them.
+  // verbatim and the hash sets are rebuilt from them. Every id must be
+  // below `videoCount` (the catalog's).
   void saveState(snapshot::Writer& w) const {
     w.u64(videoOrder_.size());
     for (const VideoId v : videoOrder_) w.u32(v.value());
     w.u64(prefetchOrder_.size());
     for (const VideoId v : prefetchOrder_) w.u32(v.value());
   }
-  bool loadState(snapshot::Reader& r) {
+  bool loadState(snapshot::Reader& r, std::size_t videoCount) {
     clear();
     videoOrder_.resize(r.count(4));
-    for (VideoId& v : videoOrder_) v = VideoId{r.u32()};
+    for (VideoId& v : videoOrder_) {
+      v = VideoId{r.id(videoCount, "cached video")};
+    }
     const std::size_t prefetched = r.count(4);
     for (std::size_t i = 0; i < prefetched; ++i) {
-      prefetchOrder_.push_back(VideoId{r.u32()});
+      prefetchOrder_.push_back(VideoId{r.id(videoCount, "prefetched chunk")});
     }
     if (!r.ok()) return false;
     videos_.insert(videoOrder_.begin(), videoOrder_.end());

@@ -8,6 +8,9 @@
 // The expected values are the seed fingerprint of simulationDefaults(7)
 // scaled to 150 users / 3 sessions over half a simulated day. Regenerate
 // them only for an intentional behavior change, never to "fix" this test.
+// The overlay fingerprint is the CRC of the system's end-of-run snapshot
+// section (overlays, caches, directory, search records), so it also pins
+// that section's byte layout.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -78,6 +81,7 @@ TEST(BaselineRegression, SocialTubeFingerprintIsStable) {
   EXPECT_EQ(p99, 0x1.686fc3b4f6165p+13);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.6a68790ae86ccp-1);
   EXPECT_EQ(r.uploadGini, 0x1.c769dddc64b24p-2);
+  EXPECT_EQ(r.overlayFingerprint, 0x99b3464du);
 }
 
 TEST(BaselineRegression, PaVodFingerprintIsStable) {
@@ -116,6 +120,7 @@ TEST(BaselineRegression, PaVodFingerprintIsStable) {
   EXPECT_EQ(p99, 0x1.c14f486983515p+15);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.5ab05fe49a1d2p-1);
   EXPECT_EQ(r.uploadGini, 0x1.d6f6654a94ac8p-3);
+  EXPECT_EQ(r.overlayFingerprint, 0x3469835eu);
 }
 
 TEST(BaselineRegression, NetTubeFingerprintIsStable) {
@@ -157,6 +162,7 @@ TEST(BaselineRegression, NetTubeFingerprintIsStable) {
   EXPECT_EQ(p99, 0x1.0d06155475a31p+14);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.7b5aa3e157bd8p-1);
   EXPECT_EQ(r.uploadGini, 0x1.e07ecf46eb6e4p-2);
+  EXPECT_EQ(r.overlayFingerprint, 0x7d6dba17u);
 }
 
 }  // namespace

@@ -422,22 +422,27 @@ exp::ExperimentConfig tinyConfig() {
   return config;
 }
 
-// One valid donor snapshot shared by every mutation below, taken mid-run so
-// the file carries a live event queue, overlay, and in-flight transfers.
+// A snapshot of tinyConfig taken mid-run, so the file carries a live event
+// queue, overlay, and in-flight transfers.
+std::vector<std::uint8_t> donorOf(exp::SystemKind system,
+                                  sim::SimTime saveAt = sim::kHour / 2) {
+  exp::ExperimentConfig config = tinyConfig();
+  config.snapshot.out = st::testing::snapshotPath("fuzz_donor");
+  config.snapshot.at = saveAt;
+  exp::runExperiment(config, system);
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  if (!snapshot::Reader::readFile(config.snapshot.out, &bytes, &error)) {
+    ADD_FAILURE() << "donor snapshot unreadable: " << error;
+  }
+  std::remove(config.snapshot.out.c_str());
+  return bytes;
+}
+
+// One valid SocialTube donor shared by every mutation below.
 const std::vector<std::uint8_t>& donorBytes() {
-  static const std::vector<std::uint8_t>* bytes = [] {
-    exp::ExperimentConfig config = tinyConfig();
-    config.snapshot.out = st::testing::snapshotPath("fuzz_donor");
-    config.snapshot.at = sim::kHour / 2;
-    exp::runExperiment(config, exp::SystemKind::kSocialTube);
-    auto* out = new std::vector<std::uint8_t>;
-    std::string error;
-    if (!snapshot::Reader::readFile(config.snapshot.out, out, &error)) {
-      ADD_FAILURE() << "donor snapshot unreadable: " << error;
-    }
-    std::remove(config.snapshot.out.c_str());
-    return out;
-  }();
+  static const auto* bytes =
+      new std::vector<std::uint8_t>(donorOf(exp::SystemKind::kSocialTube));
   return *bytes;
 }
 
@@ -765,6 +770,180 @@ INSTANTIATE_TEST_SUITE_P(
             sim::Component::kReleases, vod::ReleaseManager::kReleaseEvent,
             snapshot_fuzz::Rewrite::kArgumentPastCatalog}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// Section bodies carry catalog ids too, which later code indexes arrays
+// with. One id per record family is pointed just past the catalog; the
+// loader must refuse it by name. A restore that wrongly succeeds runs on to
+// the horizon, where the id gets used (SnapshotBodyFuzz only restores, so
+// random mutations there never reached the use).
+namespace snapshot_fuzz {
+
+// Little-endian reads over a snapshot image at a moving offset, enough to
+// walk a section's layout to one field.
+struct Cursor {
+  const std::vector<std::uint8_t>& file;
+  std::size_t at = 0;
+
+  std::uint64_t read(std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(file.at(at + i)) << (8 * i);
+    }
+    at += bytes;
+    return v;
+  }
+  void skip(std::size_t bytes) { at += bytes; }
+  // A u64 count followed by that many fixed-size elements.
+  void skipList(std::size_t elementBytes) { at += read(8) * elementBytes; }
+
+  // Positions the cursor just past the first occurrence of a section tag.
+  static Cursor atSection(const std::vector<std::uint8_t>& file,
+                          std::uint32_t tag) {
+    Cursor c{file};
+    for (c.at = kHeaderBytes; c.at + 4 <= file.size(); ++c.at) {
+      if (Cursor{file, c.at}.read(4) == tag) {
+        c.at += 4;
+        return c;
+      }
+    }
+    ADD_FAILURE() << "no section " << tag;
+    return c;
+  }
+  // A membership directory (vod/membership.h).
+  void skipDirectory() {
+    skip(4);  // "BMEM"
+    for (std::uint64_t keys = read(8); keys > 0; --keys) skipList(4);
+    for (std::uint64_t users = read(8); users > 0; --users) skipList(8);
+  }
+  // A SlotPool arena up to its first live record; 0 when none is live.
+  std::size_t firstLiveRecord() {
+    for (std::uint64_t slots = read(8); slots > 0; --slots) {
+      const bool live = read(1) != 0;
+      skip(8);  // generation, next free
+      if (live) return at;
+    }
+    return 0;
+  }
+};
+
+enum class BodyId : std::uint8_t {
+  kWatchVideo,        // XFER: the first live watch's video
+  kSearchVideo,       // SOCT: the first live search's video
+  kNodeCategory,      // SOCT: the first node's category, if it has one
+  kNetTubeCachedVideo,  // NETT: the first cached video of the first cache
+};
+
+// File offset of the u32 id to rewrite; 0 when the donor holds none.
+std::size_t bodyIdOffset(const std::vector<std::uint8_t>& file, BodyId id) {
+  if (id == BodyId::kWatchVideo) {
+    Cursor c = Cursor::atSection(file, 0x52454658);  // "XFER"
+    const std::size_t watch = c.firstLiveRecord();
+    return watch == 0 ? 0 : watch + 4;  // user, then video
+  }
+  if (id == BodyId::kNetTubeCachedVideo) {
+    Cursor c = Cursor::atSection(file, 0x5454454e);  // "NETT"
+    c.skipDirectory();
+    for (std::uint64_t nodes = c.read(8); nodes > 0; --nodes) {
+      for (std::uint64_t overlays = c.read(8); overlays > 0; --overlays) {
+        c.skip(4);  // video
+        c.skipList(4);
+      }
+      if (c.read(8) > 0) return c.at;
+      c.skipList(4);  // prefetched chunks
+    }
+    return 0;
+  }
+  Cursor c = Cursor::atSection(file, 0x54434f53);  // "SOCT"
+  c.skipDirectory();
+  std::size_t category = 0;
+  for (std::uint64_t nodes = c.read(8); nodes > 0; --nodes) {
+    c.skip(4);  // channel
+    if (c.read(4) != CategoryId::invalid().value() && category == 0) {
+      category = c.at - 4;
+    }
+    c.skipList(4);  // inner
+    c.skipList(4);  // inter
+    c.skip(8);      // last channel, last category
+    c.skipList(4);  // last inner
+    c.skipList(4);  // last inter
+    c.skipList(4);  // cached videos
+    c.skipList(4);  // prefetched chunks
+  }
+  if (id == BodyId::kNodeCategory) return category;
+  const std::size_t search = c.firstLiveRecord();
+  return search == 0 ? 0 : search + 4;  // user, then video
+}
+
+// A search lives for one flood round trip, so a fixed save time rarely
+// catches one: the donor is the first save, on a 7-s grid, that does.
+std::vector<std::uint8_t> liveSearchDonor() {
+  for (sim::SimTime at = sim::kMinute; at < sim::kHour;
+       at += 7 * sim::kSecond) {
+    std::vector<std::uint8_t> bytes =
+        donorOf(exp::SystemKind::kSocialTube, at);
+    if (bodyIdOffset(bytes, BodyId::kSearchVideo) != 0) return bytes;
+  }
+  return {};
+}
+
+void expectBodyIdRefused(exp::SystemKind system, BodyId id,
+                         const std::string& field) {
+  std::vector<std::uint8_t> mutant =
+      id == BodyId::kSearchVideo ? liveSearchDonor()
+      : system == exp::SystemKind::kSocialTube ? donorBytes()
+                                               : donorOf(system);
+  const std::size_t at = mutant.empty() ? 0 : bodyIdOffset(mutant, id);
+  ASSERT_NE(at, 0u) << "donor holds no " << field;
+  const exp::ExperimentConfig config = tinyConfig();
+  st::testing::RestoreStack stack(config, system);
+  const trace::Catalog& catalog = stack.catalog();
+  const std::uint64_t pastCatalog = id == BodyId::kNodeCategory
+                                        ? catalog.categoryCount()
+                                        : catalog.videoCount();
+  for (int i = 0; i < 4; ++i) {
+    mutant[at + i] = static_cast<std::uint8_t>(pastCatalog >> (8 * i));
+  }
+  fixupHeader(&mutant);
+
+  const std::string path = st::testing::snapshotPath("body_mutant");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(mutant.data(), 1, mutant.size(), f);
+  std::fclose(f);
+  std::string error;
+  const bool ok =
+      snapshot::restore(path, stack.participants(), stack.compat(), &error);
+  std::remove(path.c_str());
+  if (ok) stack.sim().runUntil(config.duration);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find(field + " out of range"), std::string::npos) << error;
+}
+
+}  // namespace snapshot_fuzz
+
+TEST(SnapshotBodyIdFuzz, TransferWatchVideo) {
+  snapshot_fuzz::expectBodyIdRefused(exp::SystemKind::kSocialTube,
+                                     snapshot_fuzz::BodyId::kWatchVideo,
+                                     "watch video");
+}
+
+TEST(SnapshotBodyIdFuzz, SearchVideo) {
+  snapshot_fuzz::expectBodyIdRefused(exp::SystemKind::kSocialTube,
+                                     snapshot_fuzz::BodyId::kSearchVideo,
+                                     "SocialTube search video");
+}
+
+TEST(SnapshotBodyIdFuzz, SocialTubeNodeCategory) {
+  snapshot_fuzz::expectBodyIdRefused(exp::SystemKind::kSocialTube,
+                                     snapshot_fuzz::BodyId::kNodeCategory,
+                                     "SocialTube node category");
+}
+
+TEST(SnapshotBodyIdFuzz, CachedVideo) {
+  snapshot_fuzz::expectBodyIdRefused(
+      exp::SystemKind::kNetTube, snapshot_fuzz::BodyId::kNetTubeCachedVideo,
+      "cached video");
+}
 
 // --- numeric flag values ------------------------------------------------------
 

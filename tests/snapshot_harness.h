@@ -228,6 +228,7 @@ class RestoreStack {
   }
   [[nodiscard]] const snapshot::Compat& compat() const { return compat_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
+  [[nodiscard]] const trace::Catalog& catalog() const { return catalog_; }
 
  private:
   // Stands in for the runner's ServerSampler: rebuilds its pending sample

@@ -341,6 +341,20 @@ TEST(GoldenSnapshot, CurrentVersionFileStillRestores) {
   warm.snapshot.at = saveAt;
   const ExperimentResult baseline =
       runExperiment(warm, SystemKind::kSocialTube);
+  // Today's save at the same point writes the committed bytes exactly: a
+  // refactor that reorders any section's byte stream fails here.
+  {
+    std::vector<std::uint8_t> golden;
+    std::vector<std::uint8_t> rewritten;
+    std::string error;
+    ASSERT_TRUE(snapshot::Reader::readFile(path, &golden, &error)) << error;
+    ASSERT_TRUE(snapshot::Reader::readFile(warm.snapshot.out, &rewritten,
+                                           &error))
+        << error;
+    EXPECT_TRUE(rewritten == golden)
+        << "the 1-h save differs from " << path << " (" << rewritten.size()
+        << " vs " << golden.size() << " bytes)";
+  }
   std::remove(warm.snapshot.out.c_str());
 
   ExperimentConfig resumed = config;
