@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
         config, st::exp::SystemKind::kSocialTube, &catalog);
     const auto nettube = st::exp::runExperiment(
         config, st::exp::SystemKind::kNetTube, &catalog);
+    for (const auto* run : {&social, &nettube}) {
+      if (st::exp::reportRunErrors({run, 1})) return 1;
+    }
     char label[32];
     std::snprintf(label, sizeof label, "%zu", capacity);
     std::printf("%-10s %-14.3f %-14.3f %-16.1f %-16.1f\n",

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
     config.vod.interLinks = sweep.inter;
     const auto result = st::exp::runExperiment(
         config, st::exp::SystemKind::kSocialTube, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("%-6zu %-6zu %-12.3f %-14.1f %-14.2f %-10llu\n", sweep.inner,
                 sweep.inter,
                 result.normalizedPeerBandwidth.percentile(50),

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
     config.vod.prefetchCacheSlots = std::max<std::size_t>(2 * m, 1);
     const auto result = st::exp::runExperiment(
         config, st::exp::SystemKind::kSocialTube, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     const double analytic =
         m == 0 ? 0.0
                : st::exp::analytical::prefetchAccuracy(

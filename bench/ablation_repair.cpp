@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
     config.vod.gossipRepair = gossip;
     const auto result = st::exp::runExperiment(
         config, st::exp::SystemKind::kSocialTube, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("%-10s %-12.3f %-14.1f %-10llu %-12llu %-14.2f\n",
                 gossip ? "gossip" : "server",
                 result.normalizedPeerBandwidth.percentile(50),

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
     config.vod.bodySources = sources;
     const auto result = st::exp::runExperiment(
         config, st::exp::SystemKind::kSocialTube, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("%-9zu %-12.3f %-14.1f %-14.1f %-14.3f\n", sources,
                 result.aggregatePeerFraction(), result.startupDelayMs.mean(),
                 result.startupDelayMs.percentile(99), result.rebufferRate());

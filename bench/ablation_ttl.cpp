@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
     config.vod.ttl = ttl;
     const auto result = st::exp::runExperiment(
         config, st::exp::SystemKind::kSocialTube, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("%-5d %-12.3f %-14llu %-14llu %-14llu %-12llu\n", ttl,
                 result.aggregatePeerFraction(),
                 static_cast<unsigned long long>(result.channelHits()),

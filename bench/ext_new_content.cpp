@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
        {st::exp::SystemKind::kPaVod, st::exp::SystemKind::kSocialTube,
         st::exp::SystemKind::kNetTube}) {
     const auto result = st::exp::runExperiment(config, kind, &catalog);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("%-12s releases=%llu feeds=%llu feedWatches=%llu "
                 "peerBW=%.3f delay=%.0fms rebuffer=%.3f\n",
                 result.system.c_str(),

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
                                                        : "(a) PeerSim",
               config.trace.numUsers, config.vod.sessionsPerUser);
   const auto results = st::exp::runAllSystems(config, threads);
+  if (st::exp::reportRunErrors(results)) return 1;
   st::exp::printPeerBandwidth(results);
   if (!csvPath.empty()) {
     std::vector<std::pair<std::string, st::exp::ExperimentResult>> rows;

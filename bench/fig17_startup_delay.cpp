@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
           st::exp::runExperiment(variantConfig, variants[i].kind, &catalog);
     });
   }
+  if (st::exp::reportRunErrors(results)) return 1;
   const auto& socialPf = results[0];
   const auto& nettubePf = results[1];
   const auto& social = results[2];

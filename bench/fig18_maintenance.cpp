@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
                                                        : "(a) PeerSim",
               config.trace.numUsers);
   const auto results = st::exp::runAllSystems(config, threads);
+  if (st::exp::reportRunErrors(results)) return 1;
   st::exp::printMaintenance(results);
 
   const auto& social = results[1];

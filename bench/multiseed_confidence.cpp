@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
        {st::exp::SystemKind::kPaVod, st::exp::SystemKind::kSocialTube,
         st::exp::SystemKind::kNetTube}) {
     const auto summary = st::exp::runSeeds(config, kind, seeds, threads);
+    if (st::exp::reportRunErrors(summary.runs)) return 1;
     std::printf("%s\n", summary.system.c_str());
     std::printf("  peer bandwidth : %s\n",
                 st::exp::formatStat(summary.peerFraction).c_str());

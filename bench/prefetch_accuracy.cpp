@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
                 "avoidance):\n", config.vod.prefetchCount);
     const auto result =
         st::exp::runExperiment(config, st::exp::SystemKind::kSocialTube);
+    if (st::exp::reportRunErrors({&result, 1})) return 1;
     std::printf("  prefetch hits / watches = %llu / %llu = %.3f\n",
                 static_cast<unsigned long long>(result.prefetchHits()),
                 static_cast<unsigned long long>(result.watches()),

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   std::printf("Control-plane overhead — %zu users, %zu sessions/user\n\n",
               config.trace.numUsers, config.vod.sessionsPerUser);
   const auto results = st::exp::runAllSystems(config);
+  if (st::exp::reportRunErrors(results)) return 1;
 
   std::printf("%-12s %-14s %-12s %-10s %-12s %-12s %-12s\n", "system",
               "msgs/watch", "probes", "repairs", "cache%", "peerHit%",

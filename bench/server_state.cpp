@@ -36,6 +36,9 @@ int main(int argc, char** argv) {
         config, st::exp::SystemKind::kNetTube, &catalog);
     const auto pavod = st::exp::runExperiment(
         config, st::exp::SystemKind::kPaVod, &catalog);
+    for (const auto* run : {&social, &nettube, &pavod}) {
+      if (st::exp::reportRunErrors({run, 1})) return 1;
+    }
     std::printf("%-10zu %-16.0f %-16.0f %-16.0f\n",
                 config.vod.sessionsPerUser,
                 social.serverRegistrations.max(),

@@ -160,6 +160,7 @@ int main(int argc, char** argv) {
                           &catalog);
                     });
   }
+  if (st::exp::reportRunErrors(results)) return 1;
   for (std::size_t i = 0; i < fractions.size(); ++i) {
     const auto& result = results[i];
     std::printf("abrupt departures = %3.0f%%:\n", fractions[i] * 100.0);

@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
                           &catalog);
                     });
   }
+  if (st::exp::reportRunErrors(results)) return 1;
 
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const auto& result = results[i];

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
                 planetlab ? "PlanetLab (wide-area, 1%% loss)" : "PeerSim",
                 config.trace.numUsers);
     const auto results = st::exp::runAllSystems(config, threads);
+    if (st::exp::reportRunErrors(results)) return 1;
     st::exp::printPeerBandwidth(results);
     std::printf("\n");
     for (const auto& result : results) {

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
               planetlab ? "PlanetLab" : "simulation");
 
   const auto results = st::exp::runAllSystems(config);
+  if (st::exp::reportRunErrors(results)) return 1;
 
   std::printf("== Normalized peer bandwidth (share of remote chunks served "
               "by peers) ==\n");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the unit-label tests with structured tracing compiled IN and
-# OUT, build the end-to-end benchmark and pin its seed-7 event counts and
-# fingerprints, then run the tests once more under the
+# OUT, build the end-to-end benchmark and pin its seed-7 and seed-3 event
+# counts and fingerprints, then run the tests once more under the
 # combined ASan+UBSan sanitizers, and finally under TSan. All four modes must stay green: ST_TRACE=OFF proves every
 # ST_TRACE() call site compiles away cleanly (no stray side effects in macro
 # arguments), the trace tests themselves flip behavior on ST_TRACE_ENABLED,
@@ -70,32 +70,42 @@ cmake -B build-e2e -S e2ebench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-e2e -j "$JOBS"
 
 # Pin bitwise behaviour at the benchmark's scale (1000 users, 3 simulated
-# days), which the small baseline_regression_test runs do not reach, and
-# exercise the traced pass, which wraps every event factory: both workloads
-# must report "correct": true, and every repeat must show exactly these
-# event counts and overlay fingerprints.
-echo "=== e2e_bench bitwise pin, seed 7 (build-e2e) ==="
-E2E_PINS=(
-  "events 4352051, PA-VoD=483c9874 SocialTube=8443b51e NetTube=35430207,"
-  "events 2702896, SocialTube=2d265243,"
-)
+# days), which the small baseline_regression_test runs do not reach. The
+# seed-7 run also exercises the traced pass, which wraps every event
+# factory; an untraced seed-3 repeat (about 5 s) adds a second trajectory.
+# Both workloads must report "correct": true, and every repeat must show
+# exactly the pinned event counts and overlay fingerprints.
 e2e_fail() {
   echo "$E2E_OUT"
   echo "e2e pin: $1" >&2
   exit 1
 }
-E2E_OUT="$(build-e2e/e2e_bench --workload fig16,churn-storm --seed 7 \
-  --seconds 1 --trace 1)" || e2e_fail "e2e_bench exited non-zero"
-[[ "$(grep -c '"correct": true' <<<"$E2E_OUT")" == 2 ]] ||
-  e2e_fail 'expected two "correct": true results'
-for PIN in "${E2E_PINS[@]}"; do
-  grep -qF "$PIN" <<<"$E2E_OUT" || e2e_fail "no repeat shows '$PIN'"
-done
-if grep '^repeat' <<<"$E2E_OUT" |
-    grep -vqF -e "${E2E_PINS[0]}" -e "${E2E_PINS[1]}"; then
-  e2e_fail "a repeat differs from the pinned event counts and fingerprints"
-fi
-grep -E '^(repeat|fidelity)' <<<"$E2E_OUT"
+# e2e_pin SEED "FIG16 PIN" "CHURN-STORM PIN" [e2e_bench flags...]
+e2e_pin() {
+  local seed="$1" fig16="$2" churn="$3"
+  shift 3
+  echo "=== e2e_bench bitwise pin, seed $seed (build-e2e) ==="
+  E2E_OUT="$(build-e2e/e2e_bench --workload fig16,churn-storm --seed "$seed" \
+    --seconds 1 "$@")" || e2e_fail "e2e_bench exited non-zero"
+  [[ "$(grep -c '"correct": true' <<<"$E2E_OUT")" == 2 ]] ||
+    e2e_fail 'expected two "correct": true results'
+  local pin
+  for pin in "$fig16" "$churn"; do
+    grep -qF "$pin" <<<"$E2E_OUT" || e2e_fail "no repeat shows '$pin'"
+  done
+  if grep '^repeat' <<<"$E2E_OUT" | grep -vqF -e "$fig16" -e "$churn"; then
+    e2e_fail "a repeat differs from the pinned event counts and fingerprints"
+  fi
+  grep -E '^(repeat|fidelity)' <<<"$E2E_OUT"
+}
+e2e_pin 7 \
+  "events 4352051, PA-VoD=483c9874 SocialTube=8443b51e NetTube=35430207," \
+  "events 2702896, SocialTube=2d265243," \
+  --trace 1
+e2e_pin 3 \
+  "events 4340433, PA-VoD=483c9874 SocialTube=bd2a6f63 NetTube=833c96f5," \
+  "events 2660576, SocialTube=2b650b3d," \
+  --repeats 1
 
 # Seed-sweep chaos soak (scripts/soak.sh): ST_SOAK_SEEDS seeds × fault
 # matrix × trace ON/OFF over churn_storm. Minutes of runtime, so it is

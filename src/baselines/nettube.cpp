@@ -22,6 +22,7 @@ NetTubeSystem::NetTubeSystem(vod::SystemContext& ctx,
       transfers_(transfers),
       searches_(ctx.catalog().userCount(), ctx.catalog().videoCount()) {
   overlays_.resize(ctx.catalog().userCount());
+  neighborMark_.resize(ctx.catalog().userCount());
   probeTimer_.resize(ctx.catalog().userCount());
   cache_.reserve(ctx.catalog().userCount());
   for (std::size_t i = 0; i < ctx.catalog().userCount(); ++i) {
@@ -116,6 +117,10 @@ bool NetTubeSystem::onRestored(const sim::EventTag& tag,
   const auto video = [this](std::uint64_t word) {
     return ctx_.validVideo(lo32(word));
   };
+  // Reply payloads list users; the inventory lists the sender's videos.
+  const auto users = [this](std::uint64_t payloadId) {
+    return ctx_.validPayload(payloadId, ctx_.catalog().userCount(), 0);
+  };
   if (!ctx_.validStage(tag)) return false;
   switch (tag.kind) {
     case kProbeEvent:
@@ -131,7 +136,8 @@ bool NetTubeSystem::onRestored(const sim::EventTag& tag,
     case kDropLinksEvent:
       return user(tag.a32) && user(tag.a);
     case kInventoryAtServer:
-      return user(tag.a);
+      return user(tag.a) &&
+             ctx_.validPayload(tag.b, ctx_.catalog().videoCount(), 0);
     case kFloodHop:
       return user(tag.a32) && user(tag.a) && video(tag.b);
     case kSearchHit:
@@ -142,9 +148,9 @@ bool NetTubeSystem::onRestored(const sim::EventTag& tag,
     case kServerWatch:
       return transfers_.validServerWatch(tag);
     case kDirectoryReply:
-      return user(tag.a32);
+      return user(tag.a32) && users(tag.b);
     case kCachedReply:
-      return user(tag.a32) && video(tag.a);
+      return user(tag.a32) && video(tag.a) && users(tag.b);
     default:
       return false;
   }
@@ -156,14 +162,14 @@ vod::VodSystem::NodeStats NetTubeSystem::nodeStats(UserId user) const {
   // nodes may be connected by redundant links; each link corresponds to
   // one video overlay").
   NodeStats stats;
-  std::vector<UserId> seen;
+  const std::uint32_t mark = nextNeighborMark();
   for (const auto& [video, links] : overlays_[user.index()]) {
     stats.links += links.size();
     for (const UserId n : links) {
-      if (contains(seen, n)) {
+      if (neighborMark_[n.index()] == mark) {
         ++stats.redundantLinks;  // pair already linked via another overlay
       } else {
-        seen.push_back(n);
+        neighborMark_[n.index()] = mark;
       }
     }
   }
@@ -172,13 +178,25 @@ vod::VodSystem::NodeStats NetTubeSystem::nodeStats(UserId user) const {
 
 std::vector<UserId> NetTubeSystem::allNeighbors(
     const Overlays& overlays) const {
+  const std::uint32_t mark = nextNeighborMark();
   std::vector<UserId> result;
   for (const auto& [video, links] : overlays) {
     for (const UserId n : links) {
-      if (!contains(result, n)) result.push_back(n);
+      if (neighborMark_[n.index()] == mark) continue;
+      neighborMark_[n.index()] = mark;
+      result.push_back(n);
     }
   }
   return result;
+}
+
+std::uint32_t NetTubeSystem::nextNeighborMark() const {
+  if (++neighborGeneration_ == 0) {
+    // Wrapped: clear every mark so none from 2^32 walks ago can match.
+    std::fill(neighborMark_.begin(), neighborMark_.end(), 0);
+    neighborGeneration_ = 1;
+  }
+  return neighborGeneration_;
 }
 
 void NetTubeSystem::connectOverlayLink(UserId a, UserId b, VideoId video) {

@@ -103,8 +103,12 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
     sim::EventHandle deadline;
   };
 
-  // Distinct neighbors across all of the node's overlays.
+  // Distinct neighbors across all of the node's overlays, in order of first
+  // appearance.
   [[nodiscard]] std::vector<UserId> allNeighbors(const Overlays& overlays) const;
+  // Starts a new de-duplicating walk: a user is already in the walk's
+  // result iff neighborMark_ holds the returned generation for it.
+  [[nodiscard]] std::uint32_t nextNeighborMark() const;
 
   void connectOverlayLink(UserId a, UserId b, VideoId video);
   void dropAllLinks(UserId holder, UserId gone);
@@ -149,6 +153,10 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   std::vector<vod::VideoCache> cache_;
   std::vector<sim::EventHandle> probeTimer_;
   vod::SearchTable<Search> searches_;
+  // Walk marks for allNeighbors()/nodeStats(), one word per user; not part
+  // of the protocol state (never saved).
+  mutable std::vector<std::uint32_t> neighborMark_;
+  mutable std::uint32_t neighborGeneration_ = 0;
 };
 
 }  // namespace st::baselines

@@ -54,7 +54,8 @@ bool PaVodSystem::onRestored(const sim::EventTag& tag, sim::EventHandle) {
       return ctx_.validUser(lo32(tag.a)) && ctx_.validVideo(lo32(tag.b));
     case kWatchersReply:
       return ctx_.validUser(tag.a32) && ctx_.validVideo(lo32(tag.a)) &&
-             (!UserId{lo32(tag.c)}.valid() || ctx_.validUser(lo32(tag.c)));
+             (!UserId{lo32(tag.c)}.valid() || ctx_.validUser(lo32(tag.c))) &&
+             ctx_.validPayload(tag.b, ctx_.catalog().userCount(), 0);
     default:
       return false;
   }

@@ -199,6 +199,11 @@ bool SocialTubeSystem::onRestored(const sim::EventTag& tag,
     return hi32(word) == CategoryId::invalid().value() ||
            ctx_.validCategory(hi32(word));
   };
+  // Join, gossip and repair replies carry inner (u) and inter (v) users.
+  const auto links = [this](std::uint64_t payloadId) {
+    const std::size_t users = ctx_.catalog().userCount();
+    return ctx_.validPayload(payloadId, users, users);
+  };
   if (!ctx_.validStage(tag)) return false;
   switch (tag.kind) {
     case kProbeEvent:
@@ -225,14 +230,14 @@ bool SocialTubeSystem::onRestored(const sim::EventTag& tag,
       return user(tag.a) && channel(tag.b) && category(tag.b);
     case kJoinReply:
       return user(tag.a32) && channel(tag.a) && category(tag.a) &&
-             video(tag.c);
+             video(tag.c) && links(tag.b);
     case kFloodHop:
       return user(tag.a32) && user(tag.a) && video(tag.b);
     case kSearchHit:
       return user(tag.b);
     case kGossipReply:
     case kRepairReply:
-      return user(tag.a32) && channel(tag.a);
+      return user(tag.a32) && channel(tag.a) && links(tag.b);
     default:
       return false;
   }

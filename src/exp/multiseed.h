@@ -51,7 +51,9 @@ struct MultiSeedSummary {
 };
 
 // Runs `seeds` replications with seeds base.seed, base.seed+1, ..., on
-// `threads` workers (1 = sequential in the calling thread).
+// `threads` workers (1 = sequential in the calling thread). A replication
+// that cannot proceed keeps its ExperimentResult::error in `runs`; check
+// them (reportRunErrors) before reading the aggregates.
 MultiSeedSummary runSeeds(const ExperimentConfig& base, SystemKind system,
                           std::size_t seeds, std::size_t threads = 1);
 

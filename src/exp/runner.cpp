@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -162,6 +161,14 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
                                const trace::Catalog* catalog,
                                obs::EventTrace* trace) {
   obs::PhaseProfiler profiler;
+  const auto failed = [&](std::string error) {
+    ExperimentResult result;
+    result.system = systemName(kind);
+    result.mode = config.mode;
+    result.seed = config.seed;
+    result.error = std::move(error);
+    return result;
+  };
 
   trace::Catalog owned;
   if (catalog == nullptr) {
@@ -191,9 +198,8 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
     plan.lookahead = latency->minDelay();
     std::string error;
     if (!simulator.configureShards(plan, &error)) {
-      std::fprintf(stderr, "--shards %u: %s\n", config.shards.count,
-                   error.c_str());
-      std::abort();
+      return failed("--shards " + std::to_string(config.shards.count) + ": " +
+                    error);
     }
     // The full experiment stack shares one protocol RNG, one metrics sink,
     // and one flow solver across communities, so sharded runs execute on
@@ -234,8 +240,7 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
     fault::Schedule schedule;
     std::string error;
     if (!fault::Schedule::parse(config.faults.spec, &schedule, &error)) {
-      std::fprintf(stderr, "invalid --faults spec: %s\n", error.c_str());
-      std::abort();
+      return failed("invalid --faults spec: " + error);
     }
     const bool hasRejoin = schedule.has(fault::FaultKind::kRejoin);
     injector.emplace(ctx, std::move(schedule), config.seed);
@@ -392,9 +397,7 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
     std::string error;
     if (!snapshot::restore(config.snapshot.in, participants, compat, &error,
                            &info, &snapshotBytes)) {
-      std::fprintf(stderr, "--snapshot-in %s: %s\n",
-                   config.snapshot.in.c_str(), error.c_str());
-      std::abort();
+      return failed("--snapshot-in " + config.snapshot.in + ": " + error);
     }
     if (injector && !info.injectorLoaded) injector->arm();
     if (checker && !info.checkerLoaded) checker->arm();
@@ -402,19 +405,21 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
     driver.start();
     sampler.arm();
   }
+  // A failed save stops the run there: the loop below runs to the save
+  // time first and goes on only if the save succeeded.
+  sim::SimTime saveAt = config.duration;
+  std::string saveError;
   if (!config.snapshot.out.empty()) {
-    const sim::SimTime saveAt =
-        config.snapshot.at > 0 ? config.snapshot.at : config.duration;
+    if (config.snapshot.at > 0) saveAt = config.snapshot.at;
     // Untagged on purpose: by the time any snapshot is taken this event has
     // already fired (it IS the save), so it is never itself pending state.
     simulator.scheduleAt(
-        saveAt, [&participants, &compat, &config, &snapshotBytes] {
+        saveAt, [&participants, &compat, &config, &snapshotBytes, &saveError] {
           std::string error;
           if (!snapshot::save(config.snapshot.out, participants, compat,
                               &error, &snapshotBytes)) {
-            std::fprintf(stderr, "--snapshot-out %s: %s\n",
-                         config.snapshot.out.c_str(), error.c_str());
-            std::abort();
+            saveError = "--snapshot-out " + config.snapshot.out + ": " + error;
+            return;
           }
           std::fprintf(stderr, "snapshot %s: %llu bytes\n",
                        config.snapshot.out.c_str(),
@@ -425,8 +430,10 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
 
   {
     const auto scope = profiler.scope("event_loop");
-    simulator.runUntil(config.duration);
+    if (saveAt < config.duration) simulator.runUntil(saveAt);
+    if (saveError.empty()) simulator.runUntil(config.duration);
   }
+  if (!saveError.empty()) return failed(std::move(saveError));
   if (config.shards.any()) {
     // Per-shard engine telemetry rides in the phase report (wall-clock
     // territory, excluded from the determinism guarantee): one phase per
@@ -518,6 +525,17 @@ std::vector<ExperimentResult> runAllSystems(const ExperimentConfig& config,
     results[i] = runExperiment(runConfig, kOrder[i], &catalog);
   });
   return results;
+}
+
+bool reportRunErrors(std::span<const ExperimentResult> results) {
+  bool failed = false;
+  for (const ExperimentResult& result : results) {
+    if (result.error.empty()) continue;
+    std::fprintf(stderr, "%s: %s\n", result.system.c_str(),
+                 result.error.c_str());
+    failed = true;
+  }
+  return failed;
 }
 
 }  // namespace st::exp

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,12 @@ struct ExperimentResult {
   Mode mode = Mode::kSimulation;
   // Seed the run executed with; lets replication callers verify ordering.
   std::uint64_t seed = 0;
+  // Why the run could not proceed: a malformed --faults spec, a rejected
+  // --shards plan, an unreadable --snapshot-in file or an unwritable
+  // --snapshot-out path. The message names the flag (and the snapshot
+  // path). Empty on success; otherwise the run stopped there and no field
+  // below is filled.
+  std::string error;
 
   // Fig. 16: per-node peer fraction of remotely fetched chunks.
   SampleSet normalizedPeerBandwidth;
@@ -158,7 +165,8 @@ struct ExperimentResult {
 // against the same config see the same workload. When `trace` is non-null
 // protocol events are recorded into it (the caller owns flushing);
 // otherwise config.obs.traceOut, if set, creates a run-local sink flushed
-// to that path at the horizon.
+// to that path at the horizon. A run that cannot proceed returns at once
+// with ExperimentResult::error set; it never ends the process.
 ExperimentResult runExperiment(const ExperimentConfig& config,
                                SystemKind system,
                                const trace::Catalog* catalog = nullptr,
@@ -169,8 +177,14 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
 // runs dispatch onto a worker pool; each run is fully independent (own
 // simulator/metrics, shared const catalog), so the results are identical
 // to the sequential path. config.obs.traceOut gets a ".<system>" suffix
-// per run so parallel runs never clobber one file.
+// per run so parallel runs never clobber one file. Each result carries its
+// own run's error, if any.
 std::vector<ExperimentResult> runAllSystems(const ExperimentConfig& config,
                                             std::size_t threads = 1);
+
+// Prints every failed run's error (ExperimentResult::error) on stderr,
+// prefixed with its system; true if any run failed. The figure binaries
+// exit 1 then instead of drawing a figure from empty results.
+bool reportRunErrors(std::span<const ExperimentResult> results);
 
 }  // namespace st::exp

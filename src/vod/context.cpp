@@ -166,6 +166,18 @@ std::optional<SystemContext::Payload> SystemContext::receivePayload(
   return out;
 }
 
+bool SystemContext::validPayload(std::uint64_t id, std::size_t uLimit,
+                                 std::size_t vLimit) const {
+  const auto it = payloads_.find(id);
+  if (it == payloads_.end()) return true;
+  const auto below = [](const std::vector<std::uint32_t>& list,
+                        std::size_t limit) {
+    return std::all_of(list.begin(), list.end(),
+                       [limit](std::uint32_t x) { return x < limit; });
+  };
+  return below(it->second.u, uLimit) && below(it->second.v, vLimit);
+}
+
 void SystemContext::saveState(snapshot::Writer& w) const {
   w.section(0x54585443);  // "CTXT"
   const Rng::State rng = rng_.state();

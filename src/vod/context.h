@@ -166,6 +166,13 @@ class SystemContext final {
   // For discard(): the dropped message may be the second copy of one whose
   // first delivery already consumed the payload.
   void freePayloadIfLive(std::uint64_t id) { payloads_.erase(id); }
+  // For onRestored() of a payload-carrying kind (it runs after the pool is
+  // restored): every `u` entry is below `uLimit` and every `v` entry below
+  // `vLimit`, the id count of what the handler uses the list as (0: the
+  // list must be empty). An id no longer pooled passes, as at runtime: it
+  // is a duplicate copy whose first delivery consumed the payload.
+  [[nodiscard]] bool validPayload(std::uint64_t id, std::size_t uLimit,
+                                  std::size_t vLimit) const;
 
   // Checkpoint/restore: protocol RNG, presence/release flags, breaker
   // board, and the payload pool. Endpoint wiring and overload policies are

@@ -8,6 +8,19 @@
 
 namespace st::vod {
 
+namespace {
+
+bool watchedBefore(const std::vector<VideoId>& watched, VideoId video) {
+  return std::binary_search(watched.begin(), watched.end(), video);
+}
+
+void markWatched(std::vector<VideoId>& watched, VideoId video) {
+  const auto at = std::lower_bound(watched.begin(), watched.end(), video);
+  if (at == watched.end() || *at != video) watched.insert(at, video);
+}
+
+}  // namespace
+
 VideoSelector::VideoSelector(const trace::Catalog& catalog,
                              const VodConfig& config, std::uint64_t seed)
     : catalog_(catalog),
@@ -55,14 +68,16 @@ bool VideoSelector::isReleased(VideoId video) const {
 VideoId VideoSelector::popFeed(UserId user) {
   auto& queue = feed_[user.index()];
   auto& seen = watched_[user.index()];
-  while (!queue.empty()) {
-    const VideoId video = queue.front();
-    queue.pop_front();
-    if (!isReleased(video) || seen.count(video) > 0) continue;
-    seen.insert(video);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const VideoId video = queue[i];
+    if (!isReleased(video) || watchedBefore(seen, video)) continue;
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(i + 1));
+    markWatched(seen, video);
     ++feedWatches_;
     return video;
   }
+  queue.clear();
   return VideoId::invalid();
 }
 
@@ -70,8 +85,8 @@ VideoId VideoSelector::pickFor(UserId user, ChannelId channelId) {
   Rng& rng = userRngs_[user.index()];
   auto& seen = watched_[user.index()];
   VideoId candidate = videoWithinChannel(rng, channelId);
-  for (int attempt = 0;
-       attempt < 8 && (seen.count(candidate) > 0 || !isReleased(candidate));
+  for (int attempt = 0; attempt < 8 && (watchedBefore(seen, candidate) ||
+                                        !isReleased(candidate));
        ++attempt) {
     candidate = videoWithinChannel(rng, channelId);
   }
@@ -85,7 +100,7 @@ VideoId VideoSelector::pickFor(UserId user, ChannelId channelId) {
       }
     }
   }
-  seen.insert(candidate);
+  markWatched(seen, candidate);
   return candidate;
 }
 
@@ -178,10 +193,8 @@ void VideoSelector::saveState(snapshot::Writer& w) const {
     w.boolean(state.hasSpareNormal);
   }
   for (const auto& seen : watched_) {
-    std::vector<VideoId> sorted(seen.begin(), seen.end());
-    std::sort(sorted.begin(), sorted.end());
-    w.u64(sorted.size());
-    for (const VideoId video : sorted) w.u32(video.value());
+    w.u64(seen.size());
+    for (const VideoId video : seen) w.u32(video.value());
   }
   for (const auto& queue : feed_) {
     w.u64(queue.size());
@@ -203,7 +216,7 @@ bool VideoSelector::loadState(snapshot::Reader& r) {
     state.spareNormal = r.f64();
     state.hasSpareNormal = r.boolean();
   }
-  std::vector<std::unordered_set<VideoId>> watched(userCount);
+  std::vector<std::vector<VideoId>> watched(userCount);
   for (auto& seen : watched) {
     const std::size_t n = r.count(4);
     for (std::size_t i = 0; i < n; ++i) {
@@ -212,10 +225,14 @@ bool VideoSelector::loadState(snapshot::Reader& r) {
         r.fail("selector watched video out of range");
         return false;
       }
-      seen.insert(video);
+      if (!seen.empty() && video <= seen.back()) {
+        r.fail("selector watched list not ascending");
+        return false;
+      }
+      seen.push_back(video);
     }
   }
-  std::vector<std::deque<VideoId>> feed(userCount);
+  std::vector<std::vector<VideoId>> feed(userCount);
   for (auto& queue : feed) {
     const std::size_t n = r.count(4);
     for (std::size_t i = 0; i < n; ++i) {

@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "snapshot/codec.h"
@@ -52,10 +50,11 @@ class VideoSelector {
   // Feed entries actually watched so far.
   [[nodiscard]] std::uint64_t feedWatches() const { return feedWatches_; }
 
-  // Serializes the per-user RNG streams, watched sets (canonical sorted
-  // order; membership-only at runtime), and feed queues (verbatim order —
-  // it is consumed front-to-back). Samplers and Zipf tables are pure
-  // functions of the catalog and are rebuilt by construction.
+  // Serializes the per-user RNG streams, watched lists (kept ascending, so
+  // they are written as they are; a restored list must be strictly
+  // ascending), and feed queues (verbatim order — it is consumed
+  // front-to-back). Samplers and Zipf tables are pure functions of the
+  // catalog and are rebuilt by construction.
   void saveState(snapshot::Writer& w) const;
   bool loadState(snapshot::Reader& r);
 
@@ -76,10 +75,13 @@ class VideoSelector {
   const VodConfig& config_;
   const SystemContext* ctx_ = nullptr;
   std::vector<Rng> userRngs_;
-  // Videos each user has already selected (rewatch avoidance).
-  std::vector<std::unordered_set<VideoId>> watched_;
-  // Per-user queue of new uploads awaiting a watch.
-  std::vector<std::deque<VideoId>> feed_;
+  // Videos each user has already selected (rewatch avoidance), one sorted
+  // vector per user: membership is a binary search, and an unused entry
+  // costs no allocation.
+  std::vector<std::vector<VideoId>> watched_;
+  // Per-user queue of new uploads awaiting a watch, consumed from the front
+  // (a plain vector: an empty std::deque still allocates its first block).
+  std::vector<std::vector<VideoId>> feed_;
   std::uint64_t feedWatches_ = 0;
   // Per-category channel samplers weighted by view frequency.
   std::vector<WeightedSampler> categorySamplers_;

@@ -159,7 +159,9 @@ void TransferManager::discardServerWatch(const sim::EventTag& tag) {
 }
 
 bool TransferManager::validServerWatch(const sim::EventTag& tag) const {
-  return ctx_.validUser(sim::lo32(tag.a)) && ctx_.validVideo(sim::lo32(tag.b));
+  return ctx_.validUser(sim::lo32(tag.a)) &&
+         ctx_.validVideo(sim::lo32(tag.b)) &&
+         ctx_.validPayload(tag.c, ctx_.catalog().userCount(), 0);
 }
 
 void TransferManager::beginFirstChunk(WatchId id, UserId provider,

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "baselines/nettube.h"
@@ -943,6 +944,165 @@ TEST(SnapshotBodyIdFuzz, CachedVideo) {
   snapshot_fuzz::expectBodyIdRefused(
       exp::SystemKind::kNetTube, snapshot_fuzz::BodyId::kNetTubeCachedVideo,
       "cached video");
+}
+
+// Payloads in the CTXT pool carry id lists that the consuming handler
+// indexes with: users, or videos for a NetTube inventory. A fresh run is
+// stepped until a message of one kind is pending with a non-empty list;
+// the list's first entry is pointed just past its limit, and the kind's
+// onRestored must refuse the restore. A restore that wrongly succeeds runs
+// on to the horizon, where the handler uses the entry.
+namespace snapshot_fuzz {
+
+// Two sessions a user with short breaks, so logins find warm caches.
+exp::ExperimentConfig payloadConfig() {
+  exp::ExperimentConfig config =
+      exp::ExperimentConfig::simulationDefaults(41).scaledTo(40, 2);
+  config.vod.offTimeMeanSeconds = 60.0;
+  config.duration = 2 * sim::kHour;
+  return config;
+}
+
+// File offset of the first `u` entry of pooled payload `id`; 0 when the
+// pool does not hold it or its `u` list is empty. Walks SystemContext's
+// CTXT layout up to the pool.
+std::size_t payloadEntryOffset(const std::vector<std::uint8_t>& file,
+                               std::uint64_t id) {
+  Cursor c = Cursor::atSection(file, 0x54585443);  // "CTXT"
+  c.skip(4 * 8 + 8 + 1);                           // protocol RNG
+  const std::uint64_t users = c.read(8);
+  c.skip(users * (1 + 8));  // online flags, offline-since times
+  c.skip(c.read(8));        // release flags
+  c.skip(4);                // "BRKB"
+  for (std::uint64_t owners = c.read(8); owners > 0; --owners) {
+    c.skipList(4 + 4 + 1 + 8);
+  }
+  c.skip(4 * 8);  // breaker tallies
+  for (std::uint64_t payloads = c.read(8); payloads > 0; --payloads) {
+    const std::uint64_t payloadId = c.read(8);
+    const std::uint64_t entries = c.read(8);
+    if (payloadId == id) return entries == 0 ? 0 : c.at;
+    c.skip(entries * 4);
+    c.skipList(4);  // v
+    c.skip(8);      // x
+  }
+  return 0;
+}
+
+// Forwards to a component's factory and notes each event of `kind` it
+// builds, i.e. each one scheduled.
+class KindSpy final : public sim::EventFactory {
+ public:
+  KindSpy(sim::EventFactory& inner, std::uint8_t kind)
+      : inner_(inner), kind_(kind) {}
+  [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override {
+    scheduled = scheduled || tag.kind == kind_;
+    return inner_.rebuild(tag);
+  }
+  void discard(const sim::EventTag& tag) override { inner_.discard(tag); }
+  [[nodiscard]] bool onRestored(const sim::EventTag& tag,
+                                sim::EventHandle handle) override {
+    return inner_.onRestored(tag, handle);
+  }
+  bool scheduled = false;
+
+ private:
+  sim::EventFactory& inner_;
+  std::uint8_t kind_;
+};
+
+struct PayloadDonor {
+  std::vector<std::uint8_t> file;
+  std::size_t entry = 0;  // offset of the list entry to rewrite
+};
+
+// Steps a fresh run until a pending message of `component`/`kind` names a
+// payload with a non-empty `u` list, and snapshots it there.
+PayloadDonor pendingPayloadDonor(exp::SystemKind system,
+                                 sim::Component component,
+                                 std::uint8_t kind) {
+  const exp::ExperimentConfig config = payloadConfig();
+  st::testing::RestoreStack stack(config, system);
+  sim::Simulator& simulator = stack.sim();
+  sim::EventFactory* factory = simulator.factory(component);
+  KindSpy spy(*factory, kind);
+  simulator.registerFactory(component, &spy);
+  stack.driver().start();
+  const std::string path = st::testing::snapshotPath("payload_donor");
+  PayloadDonor donor;
+  while (donor.entry == 0 && simulator.now() < config.duration &&
+         simulator.step()) {
+    if (!std::exchange(spy.scheduled, false)) continue;
+    std::string error;
+    if (!snapshot::save(path, stack.participants(), stack.compat(), &error) ||
+        !snapshot::Reader::readFile(path, &donor.file, &error)) {
+      ADD_FAILURE() << error;
+      break;
+    }
+    for (const std::size_t offset : pendingTagOffsets(donor.file)) {
+      sim::EventTag tag;
+      std::memcpy(&tag, donor.file.data() + offset, sizeof tag);
+      if (tag.component == static_cast<std::uint8_t>(component) &&
+          tag.kind == kind) {
+        donor.entry = payloadEntryOffset(donor.file, tag.b);
+        if (donor.entry != 0) break;
+      }
+    }
+  }
+  simulator.registerFactory(component, factory);
+  std::remove(path.c_str());
+  return donor;
+}
+
+void expectPayloadIdRefused(exp::SystemKind system, sim::Component component,
+                            std::uint8_t kind, bool listsVideos) {
+  static_assert(std::endian::native == std::endian::little);
+  PayloadDonor donor = pendingPayloadDonor(system, component, kind);
+  ASSERT_NE(donor.entry, 0u) << "no pending payload of kind " << int{kind};
+  const exp::ExperimentConfig config = payloadConfig();
+  st::testing::RestoreStack stack(config, system);
+  const std::uint64_t limit = listsVideos ? stack.catalog().videoCount()
+                                          : stack.catalog().userCount();
+  for (int i = 0; i < 4; ++i) {
+    donor.file[donor.entry + i] = static_cast<std::uint8_t>(limit >> (8 * i));
+  }
+  fixupHeader(&donor.file);
+
+  const std::string path = st::testing::snapshotPath("payload_mutant");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(donor.file.data(), 1, donor.file.size(), f);
+  std::fclose(f);
+  std::string error;
+  const bool ok =
+      snapshot::restore(path, stack.participants(), stack.compat(), &error);
+  std::remove(path.c_str());
+  if (ok) stack.sim().runUntil(config.duration);
+  EXPECT_FALSE(ok);
+  const std::string named = "(component " +
+                            std::to_string(static_cast<int>(component)) +
+                            ", kind " + std::to_string(kind) + ")";
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+}
+
+}  // namespace snapshot_fuzz
+
+TEST(SnapshotBodyIdFuzz, NetTubeInventoryPayload) {
+  snapshot_fuzz::expectPayloadIdRefused(
+      exp::SystemKind::kNetTube, sim::Component::kNetTube,
+      baselines::NetTubeSystem::kInventoryAtServer, /*listsVideos=*/true);
+}
+
+TEST(SnapshotBodyIdFuzz, NetTubeReplyPayload) {
+  snapshot_fuzz::expectPayloadIdRefused(
+      exp::SystemKind::kNetTube, sim::Component::kNetTube,
+      baselines::NetTubeSystem::kCachedReply, /*listsVideos=*/false);
+}
+
+TEST(SnapshotBodyIdFuzz, SocialTubeJoinReplyPayload) {
+  snapshot_fuzz::expectPayloadIdRefused(
+      exp::SystemKind::kSocialTube, sim::Component::kSocialTube,
+      core::SocialTubeSystem::kJoinReply, /*listsVideos=*/false);
 }
 
 // --- numeric flag values ------------------------------------------------------

@@ -3,13 +3,16 @@
 // transfers) with a clean low-latency network.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/latency.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "snapshot/codec.h"
 #include "trace/catalog.h"
 #include "vod/config.h"
 #include "vod/context.h"
@@ -150,5 +153,23 @@ class Stack {
   vod::TransferManager transfers_;
   RecordingClient client_;
 };
+
+// A whole snapshot file around `w`'s body, as Writer::writeFile lays it
+// out, so a component's saveState/loadState pair can round-trip in memory.
+inline snapshot::Reader readerOf(const snapshot::Writer& w) {
+  const std::vector<std::uint8_t>& body = w.body();
+  std::vector<std::uint8_t> file;
+  const auto le = [&file](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  le(snapshot::kMagic, 4);
+  le(snapshot::kFormatVersion, 4);
+  le(body.size(), 8);
+  le(snapshot::crc32(body.data(), body.size()), 4);
+  file.insert(file.end(), body.begin(), body.end());
+  return snapshot::Reader(std::move(file));
+}
 
 }  // namespace st::testing

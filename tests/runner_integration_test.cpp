@@ -213,6 +213,22 @@ TEST(RunnerPlanetLab, WideAreaModeRunsAndLosesMessages) {
   EXPECT_GT(result.aggregatePeerFraction(), 0.12);
 }
 
+// A spec or plan the runner cannot use comes back as the run's error (the
+// binaries validate both flags first, so only library callers get here).
+TEST(RunnerErrors, BadFaultSpecAndShardPlanAreTheRunError) {
+  ExperimentConfig config = smallConfig(13);
+  config.faults.spec = "crash:t=oops";
+  EXPECT_NE(runExperiment(config, SystemKind::kSocialTube)
+                .error.find("invalid --faults spec"),
+            std::string::npos);
+  config.faults.spec.clear();
+  config.shards.count = 3;
+  const ExperimentResult result = runExperiment(config, SystemKind::kNetTube);
+  EXPECT_NE(result.error.find("--shards 3"), std::string::npos)
+      << result.error;
+  EXPECT_TRUE(result.counters.empty());
+}
+
 TEST(RunnerPrefetchAblation, PrefetchReducesSocialTubeStartupDelay) {
   ExperimentConfig config = smallConfig(11);
   config.vod.prefetchEnabled = true;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "harness.h"
 #include "trace/generator.h"
@@ -160,6 +162,98 @@ TEST(Selector, SingleCategoryCatalogNeverCrashes) {
     current = selector.nextVideo(user, current);
     ASSERT_TRUE(current.valid());
   }
+}
+
+// --- snapshot state ---------------------------------------------------------
+
+// Every user's first pick plus `picks` more, with feed entries queued for
+// every third user (one of them a video the user has already watched).
+void warmUp(VideoSelector& selector, const trace::Catalog& catalog,
+            std::vector<VideoId>& current, int picks) {
+  current.resize(catalog.userCount());
+  const auto videos = static_cast<std::uint32_t>(catalog.videoCount());
+  for (std::uint32_t u = 0; u < catalog.userCount(); ++u) {
+    const UserId user{u};
+    current[u] = selector.firstVideo(user);
+    for (int i = 0; i < picks; ++i) {
+      current[u] = selector.nextVideo(user, current[u]);
+    }
+    if (u % 3 == 0) {
+      selector.pushFeed(user, VideoId{(7 * u) % videos});
+      selector.pushFeed(user, current[u]);
+      selector.pushFeed(user, VideoId{(11 * u + 5) % videos});
+    }
+  }
+}
+
+std::vector<std::uint8_t> savedBytes(const VideoSelector& selector) {
+  snapshot::Writer w;
+  selector.saveState(w);
+  return w.body();
+}
+
+TEST(SelectorSnapshot, RoundTripKeepsBytesAndNextPicks) {
+  const trace::Catalog catalog = bigCatalog();
+  VodConfig config;
+  VideoSelector saved(catalog, config, 13);
+  VideoSelector neverSaved(catalog, config, 13);
+  std::vector<VideoId> current;
+  std::vector<VideoId> twinCurrent;
+  warmUp(saved, catalog, current, 20);
+  warmUp(neverSaved, catalog, twinCurrent, 20);
+
+  snapshot::Writer w;
+  saved.saveState(w);
+  snapshot::Reader r = st::testing::readerOf(w);
+  VideoSelector restored(catalog, config, 99);  // state comes from the file
+  ASSERT_TRUE(restored.loadState(r)) << r.error();
+  EXPECT_EQ(savedBytes(restored), w.body());
+  EXPECT_EQ(restored.feedWatches(), neverSaved.feedWatches());
+
+  for (std::uint32_t u = 0; u < catalog.userCount(); ++u) {
+    const UserId user{u};
+    ASSERT_EQ(restored.pendingFeed(user), neverSaved.pendingFeed(user));
+    for (int i = 0; i < 100; ++i) {
+      current[u] = restored.nextVideo(user, current[u]);
+      twinCurrent[u] = neverSaved.nextVideo(user, twinCurrent[u]);
+      ASSERT_EQ(current[u], twinCurrent[u]) << "user " << u << ", pick " << i;
+    }
+  }
+  EXPECT_EQ(restored.feedWatches(), neverSaved.feedWatches());
+  EXPECT_EQ(savedBytes(restored), savedBytes(neverSaved));
+}
+
+// A valid save writes each watched list strictly ascending; the binary
+// search relies on it, so the loader refuses any other order.
+TEST(SelectorSnapshot, LoadRejectsUnorderedWatchedList) {
+  const trace::Catalog catalog = miniCatalog(4, 1, 1, 30);
+  VodConfig config;
+  VideoSelector selector(catalog, config, 5);
+  VideoId current = selector.firstVideo(UserId{0});
+  for (int i = 0; i < 5; ++i) current = selector.nextVideo(UserId{0}, current);
+  snapshot::Writer w;
+  selector.saveState(w);
+  // Section tag, user count, one RNG state per user, then user 0's watched
+  // list: its count and its first two entries.
+  const std::size_t list = 4 + 8 + catalog.userCount() * (4 * 8 + 8 + 1);
+  std::vector<std::uint8_t> body = w.body();
+  ASSERT_GE(body[list], 2u);
+  const auto expectRefused = [&](const std::vector<std::uint8_t>& mutant) {
+    snapshot::Writer copy;
+    for (const std::uint8_t byte : mutant) copy.u8(byte);
+    snapshot::Reader r = st::testing::readerOf(copy);
+    VideoSelector fresh(catalog, config, 5);
+    EXPECT_FALSE(fresh.loadState(r));
+    EXPECT_EQ(r.error(), "selector watched list not ascending");
+  };
+  std::vector<std::uint8_t> swapped = body;  // descending pair
+  std::swap_ranges(swapped.begin() + list + 8, swapped.begin() + list + 12,
+                   swapped.begin() + list + 12);
+  expectRefused(swapped);
+  std::vector<std::uint8_t> repeated = body;  // duplicate pair
+  std::copy(body.begin() + list + 8, body.begin() + list + 12,
+            repeated.begin() + list + 12);
+  expectRefused(repeated);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "sim/simulator.h"
 #include "snapshot/codec.h"
 #include "vod/search_table.h"
@@ -18,22 +19,7 @@ namespace {
 using Pool = SlotPool<std::uint32_t>;
 constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
 
-// A whole snapshot file around `body`, as Writer::writeFile lays it out.
-snapshot::Reader readerOf(const snapshot::Writer& w) {
-  const std::vector<std::uint8_t>& body = w.body();
-  std::vector<std::uint8_t> file;
-  const auto le = [&file](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  le(snapshot::kMagic, 4);
-  le(snapshot::kFormatVersion, 4);
-  le(body.size(), 8);
-  le(snapshot::crc32(body.data(), body.size()), 4);
-  file.insert(file.end(), body.begin(), body.end());
-  return snapshot::Reader(std::move(file));
-}
+using st::testing::readerOf;
 
 void writeValue(snapshot::Writer& w, const std::uint32_t& value) {
   w.u32(value);

@@ -166,9 +166,10 @@ inline void expectBitwiseEqual(const DifferentialRun& run) {
 // Mirrors runExperiment's construction — same component order, hence the
 // same counter-registration order — for a *calm* config (no faults, audit,
 // or trace sink), so tests can drive snapshot::restore / snapshot::save
-// directly and inspect their error strings (the runner turns a restore
-// failure into abort()). Used by the resave-byte-identity test and the
-// snapshot-corruption fuzzer.
+// directly and inspect their error strings (runExperiment returns only
+// the message). Used by the resave-byte-identity test and the
+// snapshot-corruption fuzzer, which also starts fresh runs on it
+// (driver().start()) to snapshot them at a chosen event.
 class RestoreStack {
  public:
   RestoreStack(const exp::ExperimentConfig& config, exp::SystemKind kind)
@@ -228,6 +229,7 @@ class RestoreStack {
   }
   [[nodiscard]] const snapshot::Compat& compat() const { return compat_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
+  [[nodiscard]] vod::SessionDriver& driver() { return driver_; }
   [[nodiscard]] const trace::Catalog& catalog() const { return catalog_; }
 
  private:

@@ -288,6 +288,36 @@ TEST_F(SnapshotMismatch, RefusesDroppingTheTraceSink) {
   std::remove(path.c_str());
 }
 
+// --- File errors end the run, not the process ---------------------------------
+
+// A snapshot file that cannot be read or written comes back as the run's
+// error, naming the flag and the path; the process goes on.
+
+TEST(SnapshotFileError, MissingInputIsTheRunError) {
+  ExperimentConfig config = smallConfig(41);
+  config.snapshot.in = snapshotPath("missing");
+  std::remove(config.snapshot.in.c_str());
+  const ExperimentResult result =
+      runExperiment(config, SystemKind::kSocialTube);
+  EXPECT_NE(result.error.find("--snapshot-in " + config.snapshot.in),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.system, "SocialTube");
+  EXPECT_TRUE(result.counters.empty());
+}
+
+TEST(SnapshotFileError, UnwritableOutputIsTheRunError) {
+  ExperimentConfig config = smallConfig(41);
+  // A file inside a directory that does not exist.
+  config.snapshot.out = snapshotPath("no_such_dir") + "/out.snap";
+  config.snapshot.at = config.duration / 2;
+  const ExperimentResult result = runExperiment(config, SystemKind::kNetTube);
+  EXPECT_NE(result.error.find("--snapshot-out " + config.snapshot.out),
+            std::string::npos)
+      << result.error;
+  EXPECT_TRUE(result.counters.empty());
+}
+
 // --- Golden file / format-version regression ----------------------------------
 
 ExperimentConfig goldenConfig() {
