@@ -22,7 +22,9 @@
 // --faults layers a scripted fault schedule (src/fault/schedule.h grammar,
 // e.g. "crash:t=3600,frac=0.2;loss:t=4000,dur=300,rate=0.3") over both
 // scenarios; --audit N runs the structural invariant checker every N
-// simulated seconds and reports confirmed violations per scenario.
+// simulated seconds and reports confirmed violations per scenario. A
+// schedule with rejoin events also reports the recovery rounds run and the
+// rejoined users that came clean or exhausted their round budget.
 // --overload enables the overload-control knobs (src/vod/overload.h grammar,
 // e.g. "on" or "floor_kbps=200,queue=32,breaker=3").
 // --shards N runs both scenarios on the community-sharded engine
@@ -70,6 +72,7 @@ int main(int argc, char** argv) {
   // Validate every spec up front so a typo fails before minutes of
   // simulation (the runner would abort mid-run otherwise). Exit code 2
   // distinguishes usage errors from run failures.
+  bool hasRejoin = false;
   {
     st::fault::Schedule parsed;
     std::string error;
@@ -78,6 +81,7 @@ int main(int argc, char** argv) {
                    st::fault::Schedule::grammar());
       return 2;
     }
+    hasRejoin = parsed.has(st::fault::FaultKind::kRejoin);
   }
   st::vod::OverloadConfig overload;
   {
@@ -191,6 +195,16 @@ int main(int argc, char** argv) {
                       result.counter("invariant.audits")),
                   static_cast<unsigned long long>(
                       result.counter("invariant.violations")));
+    }
+    if (hasRejoin) {
+      std::printf("  recovery rounds         = %llu (%llu recovered, "
+                  "%llu abandoned)\n",
+                  static_cast<unsigned long long>(
+                      result.counter("recovery.rounds")),
+                  static_cast<unsigned long long>(
+                      result.counter("recovery.recovered")),
+                  static_cast<unsigned long long>(
+                      result.counter("recovery.abandoned")));
     }
     if (config.vod.overload.any()) {
       std::printf("  overload: shed          = %llu (%llu prefetch "

@@ -6,7 +6,8 @@
 # fault families (crash, partition) with the messy ones (slow, flap, dup,
 # reorder, rejoin), under overload control and a 30-second invariant
 # audit. A run FAILS the soak if the checker confirms a single structural
-# violation, so this is a correctness sweep, not a perf measurement.
+# violation, or if a rejoin row's recovery leaves no rejoined user clean or
+# abandons one, so this is a correctness sweep, not a perf measurement.
 #
 # Both ST_TRACE modes run: the injector must behave identically with the
 # event-trace macro compiled in and out (trace emission is observability,
@@ -63,9 +64,23 @@ for MODE in ON OFF; do
              "(seed=$seed, faults='$spec', ST_TRACE=$MODE)" >&2
         exit 1
       fi
+      # A rejoin row also prints "recovery rounds = N (R recovered, A
+      # abandoned)" per scenario: rejoined users must come clean (R > 0)
+      # and none may exhaust the round budget (A == 0).
+      if [[ "$spec" == *rejoin:* ]]; then
+        RECOVERY="$(echo "$OUT" \
+          | grep -Eo '\([0-9]+ recovered, [0-9]+ abandoned\)' || true)"
+        if [[ -z "$RECOVERY" ]] || echo "$RECOVERY" \
+            | grep -Eq '\(0 recovered|, [1-9][0-9]* abandoned'; then
+          echo "$OUT"
+          echo "soak FAILED: rejoined users did not all recover" \
+               "(seed=$seed, faults='$spec', ST_TRACE=$MODE)" >&2
+          exit 1
+        fi
+      fi
       RUNS=$((RUNS + 1))
     done
   done
 done
 
-echo "soak OK: $RUNS runs ($SEEDS seeds × ${#FAULT_MATRIX[@]} schedules × 2 trace modes), 0 violations"
+echo "soak OK: $RUNS runs ($SEEDS seeds × ${#FAULT_MATRIX[@]} schedules × 2 trace modes), 0 violations, every rejoin recovered"

@@ -616,68 +616,104 @@ void NetTubeSystem::probeNeighbors(UserId user) {
 // --- invariant audit ----------------------------------------------------------
 
 void NetTubeSystem::auditInvariants(vod::AuditReport& report) const {
+  for (std::size_t i = 0; i < overlays_.size(); ++i) {
+    auditNode(report, UserId{static_cast<std::uint32_t>(i)});
+  }
+  directory_.forEach([&](UserId member, VideoId video) {
+    auditRegistration(report, member, video);
+  });
+}
+
+void NetTubeSystem::auditUser(vod::AuditReport& report, UserId user) const {
+  auditNode(report, user);
+  // Another node's overlays raise only two rules about an online `user`: a
+  // one-sided link to it (nt.asym_link) and a duplicate entry for it
+  // (nt.dup_link). One pass over every overlay list finds the nodes
+  // listing it.
+  for (std::size_t i = 0; i < overlays_.size(); ++i) {
+    const UserId holder{static_cast<std::uint32_t>(i)};
+    if (holder == user) continue;
+    for (const auto& [video, links] : overlays_[i]) {
+      if (contains(links, user)) {
+        auditNode(report, holder);
+        break;
+      }
+    }
+  }
+  directory_.forEachKeyOf(user, [&](VideoId video) {
+    auditRegistration(report, user, video);
+  });
+}
+
+void NetTubeSystem::auditNode(vod::AuditReport& report, UserId user) const {
   const std::size_t cap = ctx_.config().linksPerVideoOverlay;
+  const Overlays& overlays = overlays_[user.index()];
+  if (!ctx_.isOnline(user)) {
+    if (!overlays.empty()) {
+      report.violate("nt.offline_has_links", user,
+                     static_cast<std::uint32_t>(overlays.size()));
+    }
+  } else {
+    for (const auto& [video, links] : overlays) {
+      if (links.empty()) {
+        report.violate("nt.empty_overlay", user, video.value());
+      }
+      if (links.size() > cap) {
+        report.violate("nt.overlay_cap", user, video.value());
+      }
+      for (std::size_t j = 0; j < links.size(); ++j) {
+        const UserId n = links[j];
+        if (n == user) {
+          report.violate("nt.self_link", user, video.value());
+          continue;
+        }
+        if (std::find(links.begin(),
+                      links.begin() + static_cast<std::ptrdiff_t>(j), n) !=
+            links.begin() + static_cast<std::ptrdiff_t>(j)) {
+          report.violate("nt.dup_link", user, n);
+          continue;
+        }
+        if (!ctx_.isOnline(n)) {
+          if (ctx_.offlineSince(n) < report.staleBefore()) {
+            report.violate("nt.stale_link", user, n);
+          }
+          continue;
+        }
+        const Overlays& peer = overlays_[n.index()];
+        const auto peerIt = peer.find(video);
+        if (peerIt == peer.end() || !contains(peerIt->second, user)) {
+          report.violateTransient("nt.asym_link", user, n);
+        }
+      }
+    }
+  }
+  for (const VideoId video : cache_[user.index()].videoList()) {
+    if (!ctx_.isReleased(video)) {
+      report.violate("nt.cache_unreleased", user, video.value());
+    }
+  }
+}
+
+void NetTubeSystem::auditRegistration(vod::AuditReport& report,
+                                      UserId member, VideoId video) const {
   // Bounded caches evict without telling the server (the directory drifts by
   // design), so cache/directory agreement is only a contract when the cache
   // is unbounded — the paper's setting.
   const bool unboundedCache = ctx_.config().cacheCapacityVideos == 0;
-
-  for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    const UserId user{static_cast<std::uint32_t>(i)};
-    const Overlays& overlays = overlays_[i];
-    if (!ctx_.isOnline(user)) {
-      if (!overlays.empty()) {
-        report.violate("nt.offline_has_links", user.value(),
-                       static_cast<std::uint32_t>(overlays.size()));
-      }
-    } else {
-      for (const auto& [video, links] : overlays) {
-        if (links.empty()) {
-          report.violate("nt.empty_overlay", user.value(), video.value());
-        }
-        if (links.size() > cap) {
-          report.violate("nt.overlay_cap", user.value(), video.value());
-        }
-        for (std::size_t j = 0; j < links.size(); ++j) {
-          const UserId n = links[j];
-          if (n == user) {
-            report.violate("nt.self_link", user.value(), video.value());
-            continue;
-          }
-          if (std::find(links.begin(),
-                        links.begin() + static_cast<std::ptrdiff_t>(j), n) !=
-              links.begin() + static_cast<std::ptrdiff_t>(j)) {
-            report.violate("nt.dup_link", user.value(), n.value());
-            continue;
-          }
-          if (!ctx_.isOnline(n)) {
-            if (ctx_.offlineSince(n) < report.staleBefore()) {
-              report.violate("nt.stale_link", user.value(), n.value());
-            }
-            continue;
-          }
-          const Overlays& peer = overlays_[n.index()];
-          const auto peerIt = peer.find(video);
-          if (peerIt == peer.end() || !contains(peerIt->second, user)) {
-            report.violateTransient("nt.asym_link", user.value(), n.value());
-          }
-        }
-      }
-    }
-    for (const VideoId video : cache_[i].videoList()) {
-      if (!ctx_.isReleased(video)) {
-        report.violate("nt.cache_unreleased", user.value(), video.value());
-      }
-    }
+  if (!ctx_.isOnline(member)) {
+    report.violate("nt.directory_offline", member, video.value());
+  } else if (unboundedCache && !cache_[member.index()].contains(video)) {
+    report.violate("nt.directory_uncached", member, video.value());
   }
+}
 
-  directory_.forEach([&](UserId member, VideoId video) {
-    if (!ctx_.isOnline(member)) {
-      report.violate("nt.directory_offline", member.value(), video.value());
-    } else if (unboundedCache && !cache_[member.index()].contains(video)) {
-      report.violate("nt.directory_uncached", member.value(), video.value());
-    }
-  });
+void NetTubeSystem::injectLinkForTest(UserId user, UserId neighbor,
+                                      VideoId video) {
+  overlays_[user.index()][video].push_back(neighbor);
+}
+
+void NetTubeSystem::injectRegistrationForTest(UserId user, VideoId video) {
+  directory_.add(user, video);
 }
 
 // --- checkpoint/restore --------------------------------------------------------

@@ -82,6 +82,13 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   // symmetry, no empty overlay entries, repair-horizon staleness, directory
   // and cache consistency.
   void auditInvariants(vod::AuditReport& report) const override;
+  void auditUser(vod::AuditReport& report, UserId user) const override;
+
+  // Test-only corruption hooks. The first appends `neighbor` to `user`'s
+  // overlay for `video` without the reciprocal entry or the cap check; the
+  // second registers `user` under `video` at the server without caching it.
+  void injectLinkForTest(UserId user, UserId neighbor, VideoId video);
+  void injectRegistrationForTest(UserId user, VideoId video);
 
   // Serializes the directory, per-node overlays/caches, the search pool, and
   // the flood-dedup stamps. Probe timers and search deadlines are re-stored
@@ -142,6 +149,12 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
 
   void prefetchFromNeighbors(UserId user);
   void probeNeighbors(UserId user);
+
+  // The per-node rules (overlays, cache) and the per-registration rules;
+  // both audits run each rule through these.
+  void auditNode(vod::AuditReport& report, UserId user) const;
+  void auditRegistration(vod::AuditReport& report, UserId member,
+                         VideoId video) const;
 
   vod::SystemContext& ctx_;
   vod::TransferManager& transfers_;

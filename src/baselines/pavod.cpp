@@ -177,19 +177,31 @@ void PaVodSystem::providerRegister(const sim::EventTag& tag) {
 }
 
 void PaVodSystem::auditInvariants(vod::AuditReport& report) const {
+  watchers_.forEach([&](UserId member, VideoId video) {
+    auditWatcher(report, member, video);
+  });
+}
+
+void PaVodSystem::auditUser(vod::AuditReport& report, UserId user) const {
+  // Every rule is about one advertisement and names its watcher.
+  watchers_.forEachKeyOf(user, [&](VideoId video) {
+    auditWatcher(report, user, video);
+  });
+}
+
+void PaVodSystem::auditWatcher(vod::AuditReport& report, UserId member,
+                               VideoId video) const {
   // The watcher directory is pruned synchronously on logout, playback end,
   // and video switch, so a stale advertisement is a bug, not churn noise.
-  watchers_.forEach([&](UserId member, VideoId video) {
-    if (!ctx_.isOnline(member)) {
-      report.violate("pv.watcher_offline", member.value(), video.value());
-      return;
-    }
-    if (current_[member.index()] != video) {
-      report.violate("pv.watcher_wrong_video", member.value(), video.value());
-    } else if (haveFull_[member.index()] == 0) {
-      report.violate("pv.watcher_incomplete", member.value(), video.value());
-    }
-  });
+  if (!ctx_.isOnline(member)) {
+    report.violate("pv.watcher_offline", member, video.value());
+    return;
+  }
+  if (current_[member.index()] != video) {
+    report.violate("pv.watcher_wrong_video", member, video.value());
+  } else if (haveFull_[member.index()] == 0) {
+    report.violate("pv.watcher_incomplete", member, video.value());
+  }
 }
 
 void PaVodSystem::onPlaybackComplete(UserId user, VideoId video) {

@@ -53,6 +53,7 @@ class PaVodSystem final : public vod::VodSystem, public sim::EventFactory {
   // must be online, still watching the advertised video, and hold a full
   // copy — all maintained synchronously, so every rule is instant.
   void auditInvariants(vod::AuditReport& report) const override;
+  void auditUser(vod::AuditReport& report, UserId user) const override;
 
   // Serializes the watcher directory and per-node watch state. PA-VoD holds
   // no timers, so nothing needs re-storing from the simulator queue.
@@ -71,6 +72,9 @@ class PaVodSystem final : public vod::VodSystem, public sim::EventFactory {
   void watchersAtServer(const sim::EventTag& tag);
   void applyWatchersReply(const sim::EventTag& tag);
   void providerRegister(const sim::EventTag& tag);
+  // The rules for one advertisement; both audits run them through here.
+  void auditWatcher(vod::AuditReport& report, UserId member,
+                    VideoId video) const;
   void startDownload(UserId user, VideoId video, UserId provider,
                      std::vector<UserId> extraProviders,
                      sim::SimTime requestTime);

@@ -946,29 +946,57 @@ std::vector<UserId> SocialTubeSystem::siblingEntryPoints(UserId user,
 // --- invariant audit ----------------------------------------------------------
 
 void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
+  for (std::size_t i = 0; i < store_.size(); ++i) {
+    auditNode(report, UserId{static_cast<std::uint32_t>(i)});
+  }
+  directory_.forEach([&](UserId member, ChannelId channel) {
+    auditRegistration(report, member, channel);
+  });
+}
+
+void SocialTubeSystem::auditUser(vod::AuditReport& report, UserId user) const {
+  auditNode(report, user);
+  // Another node's lists raise only two rules about an online `user`: a
+  // one-sided link to it (*_asym) and a duplicate entry for it (*_dup).
+  // One pass over the arenas' live slices finds the nodes listing it; a
+  // reverse-link index would cost a write on every connect and dropLink.
+  for (std::size_t i = 0; i < store_.size(); ++i) {
+    const UserId holder{static_cast<std::uint32_t>(i)};
+    const ConstNodeRef node = store_.ref(holder);
+    if (holder != user &&
+        (contains(node.inner, user) || contains(node.inter, user))) {
+      auditNode(report, holder);
+    }
+  }
+  directory_.forEachKeyOf(user, [&](ChannelId channel) {
+    auditRegistration(report, user, channel);
+  });
+}
+
+void SocialTubeSystem::auditNode(vod::AuditReport& report,
+                                 UserId user) const {
   // Hard caps: connect() admits a link while either side is below 2*N_l
   // (resp. 2*N_h) — the soft budget N_l/N_h steers link *seeking*, the
   // doubled cap is what the structure guarantees.
   const std::size_t innerCap = ctx_.config().innerLinks * 2;
   const std::size_t interCap = ctx_.config().interLinks * 2;
 
-  const auto auditList = [&](UserId user, std::span<const UserId> links,
-                             bool innerList) {
+  const auto auditList = [&](std::span<const UserId> links, bool innerList) {
     const char* tag = innerList ? "st.inner" : "st.inter";
     if (links.size() > (innerList ? innerCap : interCap)) {
-      report.violate(std::string(tag) + "_cap", user.value(),
+      report.violate(std::string(tag) + "_cap", user,
                      static_cast<std::uint32_t>(links.size()));
     }
     for (std::size_t i = 0; i < links.size(); ++i) {
       const UserId n = links[i];
       if (n == user) {
-        report.violate(std::string(tag) + "_self", user.value(), n.value());
+        report.violate(std::string(tag) + "_self", user, n);
         continue;
       }
       if (std::find(links.begin(), links.begin() +
                                        static_cast<std::ptrdiff_t>(i),
                     n) != links.begin() + static_cast<std::ptrdiff_t>(i)) {
-        report.violate(std::string(tag) + "_dup", user.value(), n.value());
+        report.violate(std::string(tag) + "_dup", user, n);
         continue;
       }
       const ConstNodeRef peer = store_.ref(n);
@@ -976,8 +1004,7 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
         // A dead neighbor is legitimate until the next probe round sweeps
         // it; one that died before the repair horizon is a leak.
         if (ctx_.offlineSince(n) < report.staleBefore()) {
-          report.violate(std::string(tag) + "_stale", user.value(),
-                         n.value());
+          report.violate(std::string(tag) + "_stale", user, n);
         }
         continue;
       }
@@ -986,8 +1013,7 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
       const bool reciprocal =
           innerList ? contains(peer.inner, user) : contains(peer.inter, user);
       if (!reciprocal) {
-        report.violateTransient(std::string(tag) + "_asym", user.value(),
-                                n.value());
+        report.violateTransient(std::string(tag) + "_asym", user, n);
       }
       // No community-membership check for inner links and no category check
       // for inter links: both are formation-time properties (§IV-A), not
@@ -999,47 +1025,45 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
     }
   };
 
-  for (std::size_t i = 0; i < store_.size(); ++i) {
-    const UserId user{static_cast<std::uint32_t>(i)};
-    const ConstNodeRef node = store_.ref(user);
-    if (ctx_.isOnline(user)) {
-      auditList(user, node.inner, /*innerList=*/true);
-      auditList(user, node.inter, /*innerList=*/false);
-      // The server must know the user under every subscribed channel while
-      // they are online (§IV-A registration), plus the channel currently
-      // being watched.
-      for (const ChannelId sub : ctx_.catalog().user(user).subscriptions) {
-        if (!directory_.contains(user, sub)) {
-          report.violate("st.directory_missing_sub", user.value(),
-                         sub.value());
-        }
+  const ConstNodeRef node = store_.ref(user);
+  if (ctx_.isOnline(user)) {
+    auditList(node.inner, /*innerList=*/true);
+    auditList(node.inter, /*innerList=*/false);
+    // The server must know the user under every subscribed channel while
+    // they are online (§IV-A registration), plus the channel currently
+    // being watched.
+    for (const ChannelId sub : ctx_.catalog().user(user).subscriptions) {
+      if (!directory_.contains(user, sub)) {
+        report.violate("st.directory_missing_sub", user, sub.value());
       }
-      if (node.channel.valid() && !directory_.contains(user, node.channel)) {
-        // The join round trip is in flight right after a channel switch.
-        report.violateTransient("st.directory_missing_current", user.value(),
-                                node.channel.value());
-      }
-    } else if (!node.inner.empty() || !node.inter.empty()) {
-      // onLogout clears both lists synchronously.
-      report.violate("st.offline_has_links", user.value(),
-                     static_cast<std::uint32_t>(node.inner.size() +
-                                                node.inter.size()));
     }
-    // Cached videos (cache persists across sessions) must all be published.
-    for (const VideoId video : node.cache.videoList()) {
-      if (!ctx_.isReleased(video)) {
-        report.violate("st.cache_unreleased", user.value(), video.value());
-      }
+    if (node.channel.valid() && !directory_.contains(user, node.channel)) {
+      // The join round trip is in flight right after a channel switch.
+      report.violateTransient("st.directory_missing_current", user,
+                              node.channel.value());
+    }
+  } else if (!node.inner.empty() || !node.inter.empty()) {
+    // onLogout clears both lists synchronously.
+    report.violate("st.offline_has_links", user,
+                   static_cast<std::uint32_t>(node.inner.size() +
+                                              node.inter.size()));
+  }
+  // Cached videos (cache persists across sessions) must all be published.
+  for (const VideoId video : node.cache.videoList()) {
+    if (!ctx_.isReleased(video)) {
+      report.violate("st.cache_unreleased", user, video.value());
     }
   }
+}
 
+void SocialTubeSystem::auditRegistration(vod::AuditReport& report,
+                                         UserId member,
+                                         ChannelId channel) const {
   // The directory must never retain a departed user: onLogout removes every
   // registration synchronously, so this is instant, not transient.
-  directory_.forEach([&](UserId member, ChannelId channel) {
-    if (!ctx_.isOnline(member)) {
-      report.violate("st.directory_offline", member.value(), channel.value());
-    }
-  });
+  if (!ctx_.isOnline(member)) {
+    report.violate("st.directory_offline", member, channel.value());
+  }
 }
 
 void SocialTubeSystem::injectLinkForTest(UserId user, UserId neighbor,

@@ -158,9 +158,9 @@ class SocialTubeSystem final : public vod::VodSystem,
   }
 
   // Structural contract audit (see vod/audit.h): link caps, symmetry,
-  // channel/category matching, repair-horizon staleness, directory and
-  // cache consistency.
+  // repair-horizon staleness, directory and cache consistency.
   void auditInvariants(vod::AuditReport& report) const override;
+  void auditUser(vod::AuditReport& report, UserId user) const override;
 
   // Test-only corruption hook: appends `neighbor` to `user`'s inner or
   // inter list WITHOUT the reciprocal entry, cap checks, or handshakes —
@@ -313,6 +313,13 @@ class SocialTubeSystem final : public vod::VodSystem,
 
   // --- prefetch ------------------------------------------------------------------
   void prefetchPopular(UserId user, ChannelId channel, VideoId watching);
+
+  // --- audit ------------------------------------------------------------------
+  // The per-node rules (links, registrations held, cache) and the
+  // per-registration rule; both audits run each rule through these.
+  void auditNode(vod::AuditReport& report, UserId user) const;
+  void auditRegistration(vod::AuditReport& report, UserId member,
+                         ChannelId channel) const;
 
   // --- maintenance ------------------------------------------------------------
   void probeNeighbors(UserId user);

@@ -94,7 +94,13 @@ bool InvariantChecker::loadState(snapshot::Reader& r) {
     const std::uint32_t subject = r.u32();
     const sim::SimTime firstSeen = r.i64();
     if (!r.ok()) return false;
-    suspects.emplace(SuspectKey{std::move(rule), actor, subject}, firstSeen);
+    SuspectKey key{std::move(rule), actor, subject};
+    // saveState writes the table in ascending key order.
+    if (!suspects.empty() && !(suspects.rbegin()->first < key)) {
+      r.fail("invariant checker suspect keys not ascending");
+      return false;
+    }
+    suspects.emplace_hint(suspects.end(), std::move(key), firstSeen);
   }
   if (!r.ok()) return false;
   suspects_ = std::move(suspects);

@@ -1,7 +1,6 @@
 #include "fault/recovery.h"
 
 #include <cassert>
-#include <vector>
 
 namespace st::fault {
 
@@ -50,15 +49,10 @@ void RecoveryManager::onRejoin(UserId user) {
 
 bool RecoveryManager::userClean(UserId user) {
   const sim::SimTime now = ctx_.sim().now();
-  vod::AuditReport report(now, now - horizon_);
-  system_.auditInvariants(report);
-  transfers_.auditInvariants(report);
-  for (const vod::AuditViolation& violation : report.violations()) {
-    if (violation.actor == user.value() || violation.subject == user.value()) {
-      return false;
-    }
-  }
-  return true;
+  vod::AuditReport report(now, now - horizon_, user);
+  system_.auditUser(report, user);
+  transfers_.auditUser(report, user);
+  return report.clean();
 }
 
 void RecoveryManager::runRound(UserId user) {
@@ -110,7 +104,12 @@ bool RecoveryManager::loadState(snapshot::Reader& r) {
       r.fail("recovery round user out of range");
       return false;
     }
-    rounds.emplace(user, roundCount);
+    // saveState writes the ledger in ascending user order.
+    if (!rounds.empty() && user <= rounds.rbegin()->first) {
+      r.fail("recovery ledger users not ascending");
+      return false;
+    }
+    rounds.emplace_hint(rounds.end(), user, roundCount);
   }
   if (!r.ok()) return false;
   rounds_ = std::move(rounds);

@@ -10,6 +10,12 @@
 // (or a bounded number of rounds passes, at which point the ordinary
 // InvariantChecker will confirm whatever is still broken).
 //
+// The re-audit is the scoped audit (VodSystem::auditUser and
+// TransferManager::auditUser into a report scoped to the node): exactly
+// the violations the full audit reports that name the node, as actor or as
+// a user subject, at the cost of the node's neighborhood plus one linear
+// pass over the link and watch lists, not a walk over every node.
+//
 // The manager is deterministic (no RNG) and snapshot-able: per-user round
 // progress serializes inside the injector's FALT section (see
 // Injector::setRecovery), and the pending round events ride the simulator
@@ -78,7 +84,7 @@ class RecoveryManager final : public sim::EventFactory {
  private:
   void runRound(UserId user);
   // Is the rejoined node's slice of the structural audit clean (no
-  // violation with this user as actor or subject)?
+  // violation names this user; see vod::AuditViolation::names)?
   [[nodiscard]] bool userClean(UserId user);
 
   vod::SystemContext& ctx_;

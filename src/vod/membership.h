@@ -94,10 +94,17 @@ class MembershipDirectory {
   template <typename Fn>
   void forEach(Fn&& fn) const {
     for (std::size_t i = 0; i < byUser_.size(); ++i) {
-      for (const Ref& ref : byUser_[i]) {
-        fn(UserId{static_cast<std::uint32_t>(i)}, ref.key);
-      }
+      const UserId user{static_cast<std::uint32_t>(i)};
+      forEachKeyOf(user, [&](Key key) { fn(user, key); });
     }
+  }
+
+  // Visits the keys `user` is registered under, in registration order:
+  // forEach's visits for that one user. Audit-only, like forEach.
+  template <typename Fn>
+  void forEachKeyOf(UserId user, Fn&& fn) const {
+    if (user.index() >= byUser_.size()) return;
+    for (const Ref& ref : byUser_[user.index()]) fn(ref.key);
   }
 
   // Members of `key` in user-id order — deletion-history-independent, for

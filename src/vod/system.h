@@ -102,6 +102,17 @@ class VodSystem {
   // Driven by fault::InvariantChecker; the default has nothing to check.
   virtual void auditInvariants(AuditReport& report) const { (void)report; }
 
+  // The scoped audit fault::RecoveryManager runs for one rejoined user:
+  // given a report scoped to the online `user`, appends exactly the
+  // violations auditInvariants would report that name that user. Each
+  // system walks the user's own state and registrations, plus the other
+  // nodes whose link lists hold the user (found by one linear pass), with
+  // the same per-node and per-registration checks its full audit uses.
+  virtual void auditUser(AuditReport& report, UserId user) const {
+    (void)report;
+    (void)user;
+  }
+
  protected:
   void notifyPlayback(UserId user, VideoId video, sim::SimTime delay,
                       bool timedOut) {

@@ -767,65 +767,83 @@ bool TransferManager::loadState(snapshot::Reader& r) {
 
 void TransferManager::auditInvariants(AuditReport& report) const {
   for (std::size_t u = 0; u < userWatches_.size(); ++u) {
-    const UserId user{static_cast<std::uint32_t>(u)};
-    const bool online = ctx_.isOnline(user);
-    for (const WatchId id : userWatches_[u]) {
-      const Watch* watch = watches_.find(id);
-      if (watch == nullptr) {
-        report.violate("tm.dangling_watch_id", user.value(), 0);
-        continue;
-      }
-      if (watch->user != user) {
-        report.violate("tm.watch_owner", user.value(), watch->user.value());
-      }
-      if (!online) {
-        // onUserOffline erases the departing user's watches synchronously.
-        report.violate("tm.offline_watch", user.value(),
-                       watch->video.value());
-        continue;
-      }
-      // Every active flow must be fed by the server or a live peer
-      // (dropEndpointFlows fails dead sources over synchronously).
-      if (watch->flow.valid() && watch->provider.valid() &&
-          !ctx_.isOnline(watch->provider)) {
-        report.violate("tm.dead_provider", user.value(),
-                       watch->provider.value());
-      }
-      for (const Segment& segment : watch->segments) {
-        if (segment.flow.valid() && segment.provider.valid() &&
-            !ctx_.isOnline(segment.provider)) {
-          report.violate("tm.dead_provider", user.value(),
-                         segment.provider.value());
-        }
-      }
-    }
-    // Idempotency rule: two live watches of one user with identical video
-    // AND request time can only be a duplicated delivery that slipped past
-    // the startWatch suppression guard (re-watches get later timestamps).
-    const std::vector<WatchId>& ids = userWatches_[u];
-    for (std::size_t a = 0; a < ids.size(); ++a) {
-      const Watch* first = watches_.find(ids[a]);
-      if (first == nullptr) continue;
-      for (std::size_t b = a + 1; b < ids.size(); ++b) {
-        const Watch* second = watches_.find(ids[b]);
-        if (second != nullptr && second->video == first->video &&
-            second->requestTime == first->requestTime) {
-          report.violate("tm.dup_watch", user.value(), first->video.value());
-        }
-      }
-    }
+    auditWatches(report, UserId{static_cast<std::uint32_t>(u)});
   }
   for (const auto& [flow, prefetch] : prefetches_) {
     if (!ctx_.isOnline(prefetch.user)) {
-      report.violate("tm.offline_prefetch", prefetch.user.value(),
+      report.violate("tm.offline_prefetch", prefetch.user,
                      prefetch.video.value());
     }
   }
 }
 
-void TransferManager::injectWatchForTest(UserId user, VideoId video) {
+void TransferManager::auditUser(AuditReport& report, UserId user) const {
+  auditWatches(report, user);
+  // The one rule another user's list raises about an online `user`: a watch
+  // filed there but owned by `user` (tm.watch_owner). tm.offline_prefetch
+  // names only an offline user.
+  for (std::size_t u = 0; u < userWatches_.size(); ++u) {
+    if (u == user.index()) continue;
+    for (const WatchId id : userWatches_[u]) {
+      const Watch* watch = watches_.find(id);
+      if (watch != nullptr && watch->user == user) {
+        auditWatches(report, UserId{static_cast<std::uint32_t>(u)});
+        break;
+      }
+    }
+  }
+}
+
+void TransferManager::auditWatches(AuditReport& report, UserId user) const {
+  const bool online = ctx_.isOnline(user);
+  const std::vector<WatchId>& ids = userWatches_[user.index()];
+  for (const WatchId id : ids) {
+    const Watch* watch = watches_.find(id);
+    if (watch == nullptr) {
+      report.violate("tm.dangling_watch_id", user, 0);
+      continue;
+    }
+    if (watch->user != user) {
+      report.violate("tm.watch_owner", user, watch->user);
+    }
+    if (!online) {
+      // onUserOffline erases the departing user's watches synchronously.
+      report.violate("tm.offline_watch", user, watch->video.value());
+      continue;
+    }
+    // Every active flow must be fed by the server or a live peer
+    // (dropEndpointFlows fails dead sources over synchronously).
+    if (watch->flow.valid() && watch->provider.valid() &&
+        !ctx_.isOnline(watch->provider)) {
+      report.violate("tm.dead_provider", user, watch->provider);
+    }
+    for (const Segment& segment : watch->segments) {
+      if (segment.flow.valid() && segment.provider.valid() &&
+          !ctx_.isOnline(segment.provider)) {
+        report.violate("tm.dead_provider", user, segment.provider);
+      }
+    }
+  }
+  // Idempotency rule: two live watches of one user with identical video
+  // AND request time can only be a duplicated delivery that slipped past
+  // the startWatch suppression guard (re-watches get later timestamps).
+  for (std::size_t a = 0; a < ids.size(); ++a) {
+    const Watch* first = watches_.find(ids[a]);
+    if (first == nullptr) continue;
+    for (std::size_t b = a + 1; b < ids.size(); ++b) {
+      const Watch* second = watches_.find(ids[b]);
+      if (second != nullptr && second->video == first->video &&
+          second->requestTime == first->requestTime) {
+        report.violate("tm.dup_watch", user, first->video.value());
+      }
+    }
+  }
+}
+
+void TransferManager::injectWatchForTest(UserId user, VideoId video,
+                                         UserId owner) {
   Watch watch;
-  watch.user = user;
+  watch.user = owner.valid() ? owner : user;
   watch.video = video;
   const WatchId id = watches_.insert(std::move(watch));
   userWatches_[user.index()].push_back(id);

@@ -153,12 +153,18 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   // by an offline user, and no active flow sourced from a dead peer — both
   // are maintained synchronously by onUserOffline, so every rule is instant.
   void auditInvariants(AuditReport& report) const;
+  // The scoped audit (VodSystem::auditUser's contract): the online `user`'s
+  // own watches, plus the watch lists holding a watch `user` owns, found
+  // by one pass over every user's watch ids.
+  void auditUser(AuditReport& report, UserId user) const;
 
   // Test-only corruption hook: registers a bare watch record for `user`
   // (no flows, no timeout) — the dangling-watch damage a lifecycle bug
   // would leave behind after a crash. The invariant checker must flag it
-  // when the user is offline.
-  void injectWatchForTest(UserId user, VideoId video);
+  // when the user is offline. A valid `owner` files a watch owned by that
+  // user under `user`'s list instead (tm.watch_owner).
+  void injectWatchForTest(UserId user, VideoId video,
+                          UserId owner = UserId::invalid());
 
   // Checkpoint/restore: the watch arena (whole slot pool, so outstanding
   // WatchIds stay stable), per-user watch lists, flow-to-watch maps,
@@ -242,6 +248,8 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   void failOverToServer(FlowId flow, std::uint64_t bytesDone);
   void cancelWatchFlows(Watch& watch);
   void eraseWatch(WatchId id);
+  // The watch rules for the watches filed under `user` (both audits).
+  void auditWatches(AuditReport& report, UserId user) const;
 
   struct Prefetch {
     UserId user;

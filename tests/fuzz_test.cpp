@@ -1105,6 +1105,126 @@ TEST(SnapshotBodyIdFuzz, SocialTubeJoinReplyPayload) {
       core::SocialTubeSystem::kJoinReply, /*listsVideos=*/false);
 }
 
+// Two snapshot tables are written in strictly ascending key order: the
+// recovery ledger (per rejoined user, at the end of the injector's FALT
+// section) and the invariant checker's suspect table (IVAR, which follows
+// FALT). A copy of a table's first entry inserted after it repeats a key,
+// and the loader must refuse it instead of dropping the copy silently.
+namespace snapshot_fuzz {
+
+// Crash-rejoin under message loss with minute audits: the crashed users
+// rejoin 5 s later and the save lands before their first recovery round,
+// while lost goodbyes keep one-sided links under suspicion.
+exp::ExperimentConfig rejoinConfig() {
+  exp::ExperimentConfig config =
+      exp::ExperimentConfig::simulationDefaults(41).scaledTo(60, 4);
+  config.vod.offTimeMeanSeconds = 120.0;
+  config.vod.loginStaggerSeconds = 60.0;
+  config.duration = sim::kHour;
+  config.faults.spec =
+      "loss:t=600,dur=1800,rate=0.5;crash:t=900,frac=0.3;"
+      "rejoin:t=905,frac=1";
+  config.faults.auditInterval = sim::kMinute;
+  return config;
+}
+
+// A table's u64 entry count and the bytes of its first entry.
+struct Table {
+  std::size_t count = 0;
+  std::size_t first = 0;
+  std::size_t entryBytes = 0;
+};
+
+// Walks FALT's layout (Injector::saveState) to the ledger and on into IVAR.
+std::pair<Table, Table> ledgerAndSuspects(
+    const std::vector<std::uint8_t>& file) {
+  Cursor c = Cursor::atSection(file, 0x544c4146);  // "FALT"
+  c.skip(8 + 1 + 4 * 8 + 8 + 1);  // schedule size, armed, injector RNG
+  const std::uint64_t users = c.read(8);
+  c.skip(users * 2 + 4);          // blackhole counts and total
+  c.skip(users * 2 + 4 + 4 + 4);  // isolation counts and total, server cuts
+                                  // and outages
+  c.skipList(8);                  // active loss windows
+  for (std::uint64_t n = c.read(8); n > 0; --n) {  // blackhole victims
+    c.skip(8);
+    c.skipList(4);
+  }
+  for (int windows = 0; windows < 3; ++windows) {  // slow, dup, reorder
+    for (std::uint64_t n = c.read(8); n > 0; --n) {
+      c.skip(8 + 1);
+      c.skipList(4);
+    }
+  }
+  std::pair<Table, Table> tables;
+  if (c.read(1) == 0) {
+    ADD_FAILURE() << "donor has no recovery ledger";
+    return tables;
+  }
+  tables.first = {c.at, c.at + 8, 4 + 4};
+  c.skipList(4 + 4);
+  if (c.read(4) != 0x52415649) {  // "IVAR"
+    ADD_FAILURE() << "no IVAR section after FALT";
+    return tables;
+  }
+  tables.second.count = c.at;
+  const std::uint64_t suspects = c.read(8);
+  tables.second.first = c.at;
+  if (suspects > 0) tables.second.entryBytes = 8 + c.read(8) + 4 + 4 + 8;
+  return tables;
+}
+
+void expectRepeatedKeyRefused(bool ledger, const std::string& message) {
+  exp::ExperimentConfig config = rejoinConfig();
+  const std::string path = st::testing::snapshotPath("rejoin_donor");
+  config.snapshot.out = path;
+  config.snapshot.at = 915 * sim::kSecond;
+  ASSERT_EQ(exp::runExperiment(config, exp::SystemKind::kSocialTube).error,
+            "");
+  std::vector<std::uint8_t> file;
+  std::string error;
+  ASSERT_TRUE(snapshot::Reader::readFile(path, &file, &error)) << error;
+
+  const auto [ledgerTable, suspectTable] = ledgerAndSuspects(file);
+  const Table table = ledger ? ledgerTable : suspectTable;
+  ASSERT_NE(table.count, 0u);
+  const std::uint64_t entries = Cursor{file, table.count}.read(8);
+  ASSERT_GT(entries, 0u) << "donor table is empty";
+  const std::vector<std::uint8_t> entry(
+      file.begin() + static_cast<std::ptrdiff_t>(table.first),
+      file.begin() + static_cast<std::ptrdiff_t>(table.first +
+                                                 table.entryBytes));
+  file.insert(file.begin() +
+                  static_cast<std::ptrdiff_t>(table.first + table.entryBytes),
+              entry.begin(), entry.end());
+  for (int i = 0; i < 8; ++i) {
+    file[table.count + i] = static_cast<std::uint8_t>((entries + 1) >> (8 * i));
+  }
+  fixupHeader(&file);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(file.data(), 1, file.size(), f);
+  std::fclose(f);
+
+  exp::ExperimentConfig resumed = rejoinConfig();
+  resumed.snapshot.in = path;
+  const exp::ExperimentResult result =
+      exp::runExperiment(resumed, exp::SystemKind::kSocialTube);
+  std::remove(path.c_str());
+  EXPECT_NE(result.error.find(message), std::string::npos) << result.error;
+}
+
+}  // namespace snapshot_fuzz
+
+TEST(SnapshotRepeatedKeyFuzz, RecoveryLedgerUser) {
+  snapshot_fuzz::expectRepeatedKeyRefused(
+      /*ledger=*/true, "recovery ledger users not ascending");
+}
+
+TEST(SnapshotRepeatedKeyFuzz, InvariantSuspectKey) {
+  snapshot_fuzz::expectRepeatedKeyRefused(
+      /*ledger=*/false, "invariant checker suspect keys not ascending");
+}
+
 // --- numeric flag values ------------------------------------------------------
 
 // Flags::getInt / getDouble are the CLI gate for every counted or measured

@@ -13,6 +13,7 @@
 #include "baselines/nettube.h"
 #include "baselines/pavod.h"
 #include "core/socialtube.h"
+#include "fault/recovery.h"
 #include "harness.h"
 
 namespace st::fault {
@@ -184,6 +185,33 @@ TEST(InvariantCheckerCorruption, DanglingWatchOnOfflineUserIsInstant) {
   stack.transfers().injectWatchForTest(ghost, VideoId{0});
   InvariantChecker checker(stack.ctx(), system, stack.transfers(), {});
   EXPECT_TRUE(hasRule(checker.auditNow(), "tm.offline_watch"));
+}
+
+// --- recovery verdicts --------------------------------------------------------
+
+// A rejoined user is dirty only when a violation names them. Ids of another
+// kind that happen to equal the user's id do not count: here an offline
+// user's leaked watch reports its video, whose id equals the rejoined
+// user's, as the subject of tm.offline_watch.
+TEST(RecoveryVerdict, UnrelatedIdEqualToTheUserDoesNotHoldThemDirty) {
+  Stack stack(miniCatalog(12, 2, 3, 8));
+  core::SocialTubeSystem system(stack.ctx(), stack.transfers());
+  populate(stack, system);
+  RecoveryManager recovery(stack.ctx(), system, stack.transfers());
+
+  const UserId ghost{11};
+  stack.ctx().setOnline(ghost, false);
+  stack.transfers().onUserOffline(ghost);
+  system.onLogout(ghost, /*graceful=*/true);
+  const UserId rejoined{3};
+  stack.transfers().injectWatchForTest(ghost, VideoId{rejoined.value()});
+  stack.settle();
+
+  recovery.onRejoin(rejoined);
+  stack.sim().runUntil(stack.sim().now() + 5 * sim::kMinute);
+  EXPECT_EQ(recovery.roundsRun(), 1u);
+  EXPECT_EQ(recovery.usersRecovered(), 1u);
+  EXPECT_EQ(recovery.usersAbandoned(), 0u);
 }
 
 // --- repair-horizon regression ------------------------------------------------
