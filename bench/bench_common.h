@@ -5,6 +5,7 @@
 // experiments by default and paper scale with --full.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -62,15 +63,13 @@ inline void applyRobustnessFlags(const Flags& flags,
     }
     config.faults.spec = faultSpec;
   }
-  const double auditSeconds = flags.getDouble("audit", 0.0);
-  if (auditSeconds < 0.0) {
+  const sim::SimTime audit = flags.getSeconds("audit", 0);
+  if (audit < 0) {
     std::fprintf(stderr, "--audit: interval must be >= 0 seconds (got %g)\n",
-                 auditSeconds);
+                 sim::toSeconds(audit));
     std::exit(2);
   }
-  if (auditSeconds > 0.0) {
-    config.faults.auditInterval = sim::fromSeconds(auditSeconds);
-  }
+  if (audit > 0) config.faults.auditInterval = audit;
   if (const std::string overloadSpec = flags.getString("overload", "");
       !overloadSpec.empty()) {
     vod::OverloadConfig overload;
@@ -121,8 +120,8 @@ inline exp::ExperimentConfig experimentConfig(const Flags& flags) {
   // --snapshot-at values are treated as 0.
   config.snapshot.out = flags.getString("snapshot-out", "");
   config.snapshot.in = flags.getString("snapshot-in", "");
-  const double snapshotAt = flags.getDouble("snapshot-at", 0.0);
-  config.snapshot.at = snapshotAt > 0.0 ? sim::fromSeconds(snapshotAt) : 0;
+  config.snapshot.at =
+      std::max<sim::SimTime>(flags.getSeconds("snapshot-at", 0), 0);
   applyRobustnessFlags(flags, config);
   return config;
 }
@@ -139,23 +138,20 @@ inline int rejectUnknownFlags(const Flags& flags) {
   return 0;
 }
 
-// Arguments of the microbenchmarks (sim_bench, flow_bench, shard_bench): an
-// optional output path and, where `smoke` is non-null, `--smoke`. Any other
-// dash argument, or a second path, prints the token and exits 2 instead of
-// becoming the output file's name.
+// Arguments of a microbenchmark (shard_bench): an optional output path and
+// `--smoke`. Any other dash argument, or a second path, prints the token and
+// exits 2 instead of becoming the output file's name.
 inline const char* microbenchOutputPath(int argc, char** argv,
-                                        const char* defaultPath,
-                                        bool* smoke) {
+                                        const char* defaultPath, bool* smoke) {
   const char* path = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (smoke != nullptr && arg == "--smoke") {
+    if (arg == "--smoke") {
       *smoke = true;
     } else if (arg.rfind('-', 0) == 0 || path != nullptr) {
       std::fprintf(stderr,
-                   "%s: unexpected argument '%s' (usage: %s%s [OUT])\n",
-                   argv[0], argv[i], argv[0],
-                   smoke != nullptr ? " [--smoke]" : "");
+                   "%s: unexpected argument '%s' (usage: %s [--smoke] [OUT])\n",
+                   argv[0], argv[i], argv[0]);
       std::exit(2);
     } else {
       path = argv[i];

@@ -1,7 +1,7 @@
 // Sharded-engine benchmark: one large community-keyed run through the
-// unsharded one-key plan ("monolithic": every event on the root key, one
-// queue), the sharded serial merge, and the parallel lookahead windows,
-// with an in-binary sequential cross-check.
+// unsharded one-key plan (every event on the root key, one queue), the
+// sharded serial merge, and the parallel lookahead windows at 2 and at 4
+// workers, with an in-binary sequential cross-check.
 //
 // The workload is synthetic but shaped like a protocol run at figure-16
 // scale: 100k nodes spread over 128 interest communities, each node
@@ -12,24 +12,19 @@
 // contract DESIGN.md §13 asks of parallel workloads.
 //
 // Cross-check: completions, bytes, events fired, and the combined
-// per-community fingerprint must match EXACTLY across all three engines
-// (and crossBelowFloor must stay 0 in parallel mode). Any divergence
-// prints the offending quantity and exits 1, failing the bench — the
-// numbers in BENCH_shard.json are only meaningful if the engines agree.
+// per-community fingerprint must match EXACTLY across every arm (and
+// crossBelowFloor must stay 0 in parallel mode). Any divergence prints the
+// offending quantity and exits 1, failing the bench — the numbers in
+// BENCH_shard.json are only meaningful if the engines agree.
 //
-// This machine may be single-core; the parallel run still exercises the
-// real barrier machinery, but its wall-clock is not a speedup claim.
-// The JSON therefore reports measured wall-clock for all three engines
-// plus a clearly-labeled PROJECTED parallel speedup computed from the
-// per-shard event balance (shards map to workers round-robin, matching
-// Simulator's worker loop), ignoring barrier overhead.
+// The JSON reports measured wall-clock only, best of the repetitions; the
+// parallel arms need as many free cores as workers to show their speed-up.
 //
 // Emits BENCH_shard.json (path = first positional arg, default
 // ./BENCH_shard.json). Regenerate the committed baseline with:
 //   cmake --build build --target shard_bench && ./build/bench/shard_bench BENCH_shard.json
 // `--smoke` runs a reduced configuration (scripts/check.sh uses it to arm
 // the cross-check in CI without paying the full-scale wall-clock).
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -61,7 +56,6 @@ struct BenchConfig {
   std::size_t nodes = 100'000;
   std::uint32_t communities = 128;  // keys 1..128; key 0 = root/driver
   std::uint32_t shards = 8;
-  std::size_t workers = 4;
   int chunksPerSession = 12;
   SimTime lookahead = 10 * sim::kMillisecond;
   std::uint64_t seed = 1;
@@ -78,7 +72,7 @@ struct alignas(64) CommunityState {
   // Gossip arrivals accumulate commutatively (a sum, not an FNV chain):
   // a gossip event and a local chunk can land on one community at the
   // same microsecond, and the engines legitimately break that tie
-  // differently (monolithic: global insertion order; sharded: canonical
+  // differently (one-key plan: global insertion order; sharded: canonical
   // source-key order). The tie never touches chunk state — gossip draws
   // no RNG and schedules nothing — so an order-insensitive accumulator
   // keeps the cross-check exact without depending on tie-break policy.
@@ -93,7 +87,6 @@ struct RunResult {
   std::uint64_t crossShardPosts = 0;
   std::uint64_t crossBelowFloor = 0;
   std::uint64_t windowsRun = 0;
-  std::vector<std::uint64_t> shardEvents;
   double wallMs = 0.0;
 };
 
@@ -174,11 +167,13 @@ class Workload {
   std::vector<CommunityState> state_;
 };
 
-enum class Engine { kMonolithic, kShardedSerial, kShardedParallel };
+enum class Engine { kOneKey, kShardedSerial, kShardedParallel };
 
-RunResult runOnce(const BenchConfig& config, Engine engine) {
+// `workers` applies to the parallel arm only.
+RunResult runOnce(const BenchConfig& config, Engine engine,
+                  std::size_t workers) {
   sim::Simulator sim;
-  if (engine != Engine::kMonolithic) {
+  if (engine != Engine::kOneKey) {
     sim::ShardPlan plan;
     plan.keyCount = config.communities + 1;
     plan.shardCount = config.shards;
@@ -189,7 +184,7 @@ RunResult runOnce(const BenchConfig& config, Engine engine) {
                    error.c_str());
       std::exit(1);
     }
-    sim.setWorkers(engine == Engine::kShardedParallel ? config.workers : 1);
+    sim.setWorkers(engine == Engine::kShardedParallel ? workers : 1);
   }
   Workload workload(sim, config);
 
@@ -216,14 +211,10 @@ RunResult runOnce(const BenchConfig& config, Engine engine) {
     result.fingerprint = fnvMix(result.fingerprint, community.fingerprint);
     result.fingerprint = fnvMix(result.fingerprint, community.gossipSum);
   }
-  if (engine != Engine::kMonolithic) {
+  if (engine != Engine::kOneKey) {
     result.crossShardPosts = sim.crossShardPosts();
     result.crossBelowFloor = sim.crossBelowFloor();
     result.windowsRun = sim.windowsRun();
-    result.shardEvents.resize(config.shards);
-    for (std::uint32_t s = 0; s < config.shards; ++s) {
-      result.shardEvents[s] = sim.shardEventsFired(s);
-    }
   }
   return result;
 }
@@ -248,34 +239,12 @@ bool crossCheck(const char* label, const RunResult& expected,
   return ok;
 }
 
-// Ideal parallel speedup at `workers` workers: shards map to workers
-// round-robin (Simulator's worker loop), the window critical path is the
-// most-loaded worker. Barrier overhead is ignored — this is a balance
-// projection, not a measurement.
-double projectedSpeedup(const std::vector<std::uint64_t>& shardEvents,
-                        std::size_t workers) {
-  std::vector<std::uint64_t> load(std::min(workers, shardEvents.size()), 0);
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < shardEvents.size(); ++s) {
-    load[s % load.size()] += shardEvents[s];
-    total += shardEvents[s];
-  }
-  const std::uint64_t critical = *std::max_element(load.begin(), load.end());
-  return critical == 0 ? 1.0
-                       : static_cast<double>(total) /
-                             static_cast<double>(critical);
-}
-
-double bestOf(int reps, const BenchConfig& config, Engine engine,
-              RunResult* out) {
-  double best = 0.0;
+RunResult bestOf(int reps, const BenchConfig& config, Engine engine,
+                 std::size_t workers = 1) {
+  RunResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    RunResult result = runOnce(config, engine);
-    if (rep == 0 || result.wallMs < best) {
-      best = result.wallMs;
-      *out = std::move(result);
-      out->wallMs = best;
-    }
+    RunResult result = runOnce(config, engine, workers);
+    if (rep == 0 || result.wallMs < best.wallMs) best = std::move(result);
   }
   return best;
 }
@@ -291,51 +260,49 @@ int benchMain(int argc, char** argv) {
     config.chunksPerSession = 8;
   }
   const int kReps = smoke ? 1 : 3;
+  constexpr std::size_t kWorkers[] = {2, 4};
   std::printf("shard_bench: %zu nodes, %u communities, %u shards, best of %d%s\n",
               config.nodes, config.communities, config.shards, kReps,
               smoke ? " [smoke]" : "");
 
-  RunResult monolithic;
-  bestOf(kReps, config, Engine::kMonolithic, &monolithic);
-  std::printf("  monolithic        %10.1f ms  %llu events\n", monolithic.wallMs,
-              static_cast<unsigned long long>(monolithic.eventsFired));
+  const RunResult oneKey = bestOf(kReps, config, Engine::kOneKey);
+  std::printf("  one-key plan      %10.1f ms  %llu events\n", oneKey.wallMs,
+              static_cast<unsigned long long>(oneKey.eventsFired));
 
-  RunResult serial;
-  bestOf(kReps, config, Engine::kShardedSerial, &serial);
+  const RunResult serial = bestOf(kReps, config, Engine::kShardedSerial);
   std::printf("  sharded serial    %10.1f ms  %llu cross-shard posts\n",
               serial.wallMs,
               static_cast<unsigned long long>(serial.crossShardPosts));
+  bool ok = crossCheck("sharded-serial vs one-key", oneKey, serial);
 
-  RunResult parallel;
-  bestOf(kReps, config, Engine::kShardedParallel, &parallel);
-  std::printf("  sharded parallel  %10.1f ms  %llu windows (%zu workers)\n",
-              parallel.wallMs,
-              static_cast<unsigned long long>(parallel.windowsRun),
-              config.workers);
-
-  bool ok = crossCheck("sharded-serial vs monolithic", monolithic, serial);
-  ok = crossCheck("sharded-parallel vs monolithic", monolithic, parallel) && ok;
-  if (parallel.crossBelowFloor != 0) {
-    std::fprintf(stderr,
-                 "shard_bench: CROSS-CHECK FAILED: parallel run counted %llu "
-                 "sub-floor cross posts (degraded; equality not guaranteed)\n",
-                 static_cast<unsigned long long>(parallel.crossBelowFloor));
-    ok = false;
+  std::vector<RunResult> parallel;
+  for (const std::size_t workers : kWorkers) {
+    parallel.push_back(
+        bestOf(kReps, config, Engine::kShardedParallel, workers));
+    const RunResult& run = parallel.back();
+    std::printf("  sharded parallel  %10.1f ms  %llu windows (%zu workers)\n",
+                run.wallMs, static_cast<unsigned long long>(run.windowsRun),
+                workers);
+    const std::string label =
+        "sharded-parallel x" + std::to_string(workers) + " vs one-key";
+    ok = crossCheck(label.c_str(), oneKey, run) && ok;
+    if (run.crossBelowFloor != 0) {
+      std::fprintf(stderr,
+                   "shard_bench: CROSS-CHECK FAILED: %zu-worker run counted "
+                   "%llu sub-floor cross posts (degraded; equality not "
+                   "guaranteed)\n",
+                   workers,
+                   static_cast<unsigned long long>(run.crossBelowFloor));
+      ok = false;
+    }
   }
   if (!ok) return 1;
   std::printf("  cross-check       pass (completions/bytes/events/fingerprint "
-              "exact across all engines)\n");
+              "exact across all arms)\n");
 
-  const double serialSpeedup = serial.wallMs > 0.0
-                                   ? monolithic.wallMs / serial.wallMs
-                                   : 0.0;
-  const double proj2 = projectedSpeedup(serial.shardEvents, 2);
-  const double proj4 = projectedSpeedup(serial.shardEvents, 4);
-  const double proj8 = projectedSpeedup(serial.shardEvents, 8);
-  std::printf("  serial merge vs monolithic: %.2fx\n", serialSpeedup);
-  std::printf("  projected parallel (balance only): %.2fx @2w, %.2fx @4w, "
-              "%.2fx @8w\n", proj2, proj4, proj8);
-
+  const auto speedup = [&](const RunResult& run) {
+    return run.wallMs > 0.0 ? oneKey.wallMs / run.wallMs : 0.0;
+  };
   std::FILE* f = std::fopen(outPath, "w");
   if (!f) {
     std::fprintf(stderr, "shard_bench: cannot write %s\n", outPath);
@@ -344,38 +311,29 @@ int benchMain(int argc, char** argv) {
   std::fprintf(f, "{\n  \"bench\": \"shard_bench\",\n");
   std::fprintf(f,
                "  \"config\": {\"nodes\": %zu, \"communities\": %u, "
-               "\"shards\": %u, \"workers\": %zu, \"reps\": %d, "
-               "\"smoke\": %s},\n",
-               config.nodes, config.communities, config.shards, config.workers,
-               kReps, smoke ? "true" : "false");
+               "\"shards\": %u, \"reps\": %d, \"smoke\": %s},\n",
+               config.nodes, config.communities, config.shards, kReps,
+               smoke ? "true" : "false");
+  std::fprintf(f, "  \"oneKey\": {\"wallMs\": %.1f, \"events\": %llu},\n",
+               oneKey.wallMs,
+               static_cast<unsigned long long>(oneKey.eventsFired));
   std::fprintf(f,
-               "  \"monolithic\": {\"wallMs\": %.1f, \"events\": %llu},\n",
-               monolithic.wallMs,
-               static_cast<unsigned long long>(monolithic.eventsFired));
-  std::fprintf(f,
-               "  \"shardedSerial\": {\"wallMs\": %.1f, \"speedupVsMonolithic\":"
-               " %.2f, \"crossShardPosts\": %llu},\n",
-               serial.wallMs, serialSpeedup,
+               "  \"shardedSerial\": {\"wallMs\": %.1f, \"speedupVsOneKey\": "
+               "%.2f, \"crossShardPosts\": %llu},\n",
+               serial.wallMs, speedup(serial),
                static_cast<unsigned long long>(serial.crossShardPosts));
-  const double parallelSpeedup = parallel.wallMs > 0.0
-                                     ? monolithic.wallMs / parallel.wallMs
-                                     : 0.0;
-  std::fprintf(f,
-               "  \"shardedParallel\": {\"wallMs\": %.1f, "
-               "\"speedupVsMonolithic\": %.2f, \"windows\": %llu, "
-               "\"crossBelowFloor\": %llu},\n",
-               parallel.wallMs, parallelSpeedup,
-               static_cast<unsigned long long>(parallel.windowsRun),
-               static_cast<unsigned long long>(parallel.crossBelowFloor));
-  std::fprintf(f,
-               "  \"projectedParallelSpeedup\": {\"note\": \"balance "
-               "projection from per-shard event counts, round-robin shard-to-"
-               "worker mapping, barrier overhead ignored; measured on a "
-               "single-core host where parallel wall-clock is not a speedup "
-               "claim\", \"workers2\": %.2f, \"workers4\": %.2f, "
-               "\"workers8\": %.2f},\n",
-               proj2, proj4, proj8);
-  std::fprintf(f, "  \"crossCheck\": \"pass\"\n}\n");
+  std::fprintf(f, "  \"shardedParallel\": [");
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    const RunResult& run = parallel[i];
+    std::fprintf(f,
+                 "%s\n    {\"workers\": %zu, \"wallMs\": %.1f, "
+                 "\"speedupVsOneKey\": %.2f, \"windows\": %llu, "
+                 "\"crossBelowFloor\": %llu}",
+                 i == 0 ? "" : ",", kWorkers[i], run.wallMs, speedup(run),
+                 static_cast<unsigned long long>(run.windowsRun),
+                 static_cast<unsigned long long>(run.crossBelowFloor));
+  }
+  std::fprintf(f, "\n  ],\n  \"crossCheck\": \"pass\"\n}\n");
   std::fclose(f);
   std::printf("shard_bench: wrote %s\n", outPath);
   return 0;

@@ -63,11 +63,11 @@ int main(int argc, char** argv) {
       st::resolveThreadCount(flags.getInt("threads", 0), 1);
   const std::string traceOut = flags.getString("trace-out", "");
   const std::string faultSpec = flags.getString("faults", "");
-  const double auditSeconds = flags.getDouble("audit", 0.0);
+  const st::sim::SimTime audit = flags.getSeconds("audit", 0);
   const std::string overloadSpec = flags.getString("overload", "");
   const std::string snapshotOut = flags.getString("snapshot-out", "");
   const std::string snapshotIn = flags.getString("snapshot-in", "");
-  const double snapshotAt = flags.getDouble("snapshot-at", 0.0);
+  const st::sim::SimTime snapshotAt = flags.getSeconds("snapshot-at", 0);
 
   // Validate every spec up front so a typo fails before minutes of
   // simulation (the runner would abort mid-run otherwise). Exit code 2
@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
                  "--snapshot-out --snapshot-in --snapshot-at\n");
     return 2;
   }
-  if (auditSeconds < 0.0) {
+  if (audit < 0) {
     std::fprintf(stderr, "--audit must be >= 0 seconds\n");
     return 2;
   }
-  if (snapshotAt < 0.0) {
+  if (snapshotAt < 0) {
     std::fprintf(stderr, "--snapshot-at must be >= 0 seconds\n");
     return 2;
   }
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   // churn.
   config.vod.probeInterval = 2 * st::sim::kMinute;
   config.faults.spec = faultSpec;
-  config.faults.auditInterval = st::sim::fromSeconds(auditSeconds);
+  config.faults.auditInterval = audit;
   config.vod.overload = overload;
   config.shards.count = shards.count;
 
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
                       }
                       // Same file for both scenarios: the fork.
                       scenario.snapshot.in = snapshotIn;
-                      scenario.snapshot.at = st::sim::fromSeconds(snapshotAt);
+                      scenario.snapshot.at = snapshotAt;
                       results[i] = st::exp::runExperiment(
                           scenario, st::exp::SystemKind::kSocialTube,
                           &catalog);

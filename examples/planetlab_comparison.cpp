@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
       st::resolveThreadCount(flags.getInt("threads", 0), 1);
   const std::string snapshotOut = flags.getString("snapshot-out", "");
   const std::string snapshotIn = flags.getString("snapshot-in", "");
-  const double snapshotAt = flags.getDouble("snapshot-at", 0.0);
-  if (snapshotAt < 0.0) {
+  const st::sim::SimTime snapshotAt = flags.getSeconds("snapshot-at", 0);
+  if (snapshotAt < 0) {
     std::fprintf(stderr, "--snapshot-at must be >= 0 seconds\n");
     return 1;
   }
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     if (!planetlab) {
       config.snapshot.out = snapshotOut;
       config.snapshot.in = snapshotIn;
-      config.snapshot.at = st::sim::fromSeconds(snapshotAt);
+      config.snapshot.at = snapshotAt;
     }
     st::bench::applyRobustnessFlags(flags, config);
 

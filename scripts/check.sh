@@ -45,19 +45,11 @@ for MODE in ON OFF; do
   ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure -j "$JOBS"
 done
 
-# Smoke the flow microbenchmark (1 iteration, output discarded): the
-# in-binary eager-solver replica cross-checks its completion and byte
-# tallies against the batched engine, so this is a cheap differential test
-# of the incremental solver, not a perf measurement.
-echo "=== flow_bench --smoke (build-trace-on) ==="
-cmake --build build-trace-on -j "$JOBS" --target flow_bench
-build-trace-on/bench/flow_bench /dev/null --smoke
-
 # Smoke the sharded-engine benchmark with the sequential cross-check
-# armed: monolithic, serial-merge, and parallel-window runs of the same
-# community workload must agree exactly on completions, bytes, events,
-# and fingerprints (any divergence exits 1), so this is a differential
-# test of the barrier protocol, not a perf measurement.
+# armed: one-key, serial-merge, and parallel-window runs (2 and 4 workers)
+# of the same community workload must agree exactly on completions, bytes,
+# events, and fingerprints (any divergence exits 1), so this is a
+# differential test of the barrier protocol, not a perf measurement.
 echo "=== shard_bench --smoke (build-trace-on) ==="
 cmake --build build-trace-on -j "$JOBS" --target shard_bench
 build-trace-on/bench/shard_bench /dev/null --smoke

@@ -37,16 +37,12 @@ struct ExperimentConfig {
   Releases releases;
 
   // Structured event tracing (obs/event_trace.h). With traceOut non-empty,
-  // runExperiment records protocol events into a ring buffer and flushes
-  // them as JSONL to that path when the run ends. Multi-run helpers suffix
-  // the path per system/seed so parallel runs never clobber each other.
-  // Sampling keeps high-rate event kinds (chunk batches, probes) from
-  // evicting rare ones; 1 keeps every event, 0 drops the kind.
+  // runExperiment records protocol events into a ring buffer with
+  // obs::EventTrace's default capacity and sampling, and flushes them as
+  // JSONL to that path when the run ends. Multi-run helpers suffix the path
+  // per system/seed so parallel runs never clobber each other.
   struct Observability {
     std::string traceOut;
-    std::size_t traceCapacity = std::size_t{1} << 18;
-    std::uint32_t chunkSampleEvery = 16;
-    std::uint32_t probeSampleEvery = 8;
   };
   Observability obs;
 

@@ -68,16 +68,6 @@ std::unique_ptr<vod::VodSystem> makeSystem(SystemKind kind,
   return nullptr;
 }
 
-obs::EventTrace::Options traceOptions(const ExperimentConfig& config) {
-  obs::EventTrace::Options options;
-  options.capacity = config.obs.traceCapacity;
-  options.sampleEvery[static_cast<std::size_t>(obs::EventKind::kChunk)] =
-      config.obs.chunkSampleEvery;
-  options.sampleEvery[static_cast<std::size_t>(obs::EventKind::kProbe)] =
-      config.obs.probeSampleEvery;
-  return options;
-}
-
 // Samples the origin server's membership-state size every 30 simulated
 // minutes (the §IV-A server-state comparison). Tagged (Component::kRunner)
 // so the pending sample event snapshots; the accumulated series rides in
@@ -181,7 +171,7 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
   // not supply a sink of their own.
   std::optional<obs::EventTrace> ownedTrace;
   if (trace == nullptr && !config.obs.traceOut.empty()) {
-    ownedTrace.emplace(traceOptions(config));
+    ownedTrace.emplace();
     trace = &*ownedTrace;
   }
 

@@ -1,7 +1,8 @@
 #include "fault/schedule.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "util/parse.h"
 
 namespace st::fault {
 
@@ -23,41 +24,8 @@ const char* faultKindName(FaultKind kind) {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-void fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-}
-
-// strtod over a NUL-terminated copy: string_views into user input are not
-// NUL-terminated, and partial parses ("1.5x") must be rejected.
-bool parseDouble(std::string_view token, double* out) {
-  const std::string copy(token);
-  if (copy.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool parseUint(std::string_view token, std::uint64_t* out) {
-  const std::string copy(token);
-  if (copy.empty() || copy.front() == '-' || copy.front() == '+') return false;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
+using parse::fail;
+using parse::trim;
 
 bool parseKind(std::string_view token, FaultKind* out) {
   for (std::size_t i = 0; i < kFaultKindCount; ++i) {
@@ -107,75 +75,75 @@ bool parseEvent(std::string_view text, FaultEvent* out, std::string* error) {
     std::uint64_t integer = 0;
 
     if (key == "t") {
-      if (!parseDouble(value, &number) || number < 0.0) {
+      if (!parse::number(value, &number) || number < 0.0 ||
+          !sim::checkedTime(number, sim::kSecond, &event.at)) {
         fail(error, "bad fault time '" + std::string(value) + "'");
         return false;
       }
-      event.at = sim::fromSeconds(number);
       haveTime = true;
     } else if (key == "dur") {
-      if (!parseDouble(value, &number) || number <= 0.0) {
+      if (!parse::number(value, &number) || number <= 0.0 ||
+          !sim::checkedTime(number, sim::kSecond, &event.duration)) {
         fail(error, "bad fault duration '" + std::string(value) + "'");
         return false;
       }
-      event.duration = sim::fromSeconds(number);
     } else if (key == "frac") {
-      if (!parseDouble(value, &number) || number < 0.0 || number > 1.0) {
+      if (!parse::number(value, &number) || number < 0.0 || number > 1.0) {
         fail(error, "fault fraction must be in [0,1], got '" +
                         std::string(value) + "'");
         return false;
       }
       event.fraction = number;
     } else if (key == "user") {
-      if (!parseUint(value, &integer) ||
+      if (!parse::number(value, &integer) ||
           integer >= UserId::kInvalidValue) {
         fail(error, "bad user id '" + std::string(value) + "'");
         return false;
       }
       event.user = UserId{static_cast<std::uint32_t>(integer)};
     } else if (key == "peer") {
-      if (!parseUint(value, &integer) ||
+      if (!parse::number(value, &integer) ||
           integer >= UserId::kInvalidValue) {
         fail(error, "bad peer id '" + std::string(value) + "'");
         return false;
       }
       event.peer = UserId{static_cast<std::uint32_t>(integer)};
     } else if (key == "factor") {
-      if (!parseDouble(value, &number) || number < 1.0) {
+      if (!parse::number(value, &number) || number < 1.0) {
         fail(error, "slowdown factor must be >= 1, got '" +
                         std::string(value) + "'");
         return false;
       }
       event.factor = number;
     } else if (key == "period") {
-      if (!parseDouble(value, &number) || number <= 0.0) {
+      if (!parse::number(value, &number) || number <= 0.0 ||
+          !sim::checkedTime(number, sim::kSecond, &event.period)) {
         fail(error, "flap period must be > 0 seconds, got '" +
                         std::string(value) + "'");
         return false;
       }
-      event.period = sim::fromSeconds(number);
     } else if (key == "cat") {
-      if (!parseUint(value, &integer) ||
+      if (!parse::number(value, &integer) ||
           integer >= CategoryId::kInvalidValue) {
         fail(error, "bad category id '" + std::string(value) + "'");
         return false;
       }
       event.category = CategoryId{static_cast<std::uint32_t>(integer)};
     } else if (key == "rate") {
-      if (!parseDouble(value, &number) || number < 0.0 || number > 1.0) {
+      if (!parse::number(value, &number) || number < 0.0 || number > 1.0) {
         fail(error, "loss rate must be in [0,1], got '" + std::string(value) +
                         "'");
         return false;
       }
       event.lossRate = number;
     } else if (key == "delay_ms") {
-      if (!parseDouble(value, &number) || number < 0.0) {
+      if (!parse::number(value, &number) || number < 0.0 ||
+          !sim::checkedTime(number, sim::kMillisecond, &event.extraDelay)) {
         fail(error, "bad delay_ms '" + std::string(value) + "'");
         return false;
       }
-      event.extraDelay = sim::fromMillis(number);
     } else if (key == "server") {
-      if (!parseUint(value, &integer) || integer > 1) {
+      if (!parse::number(value, &integer) || integer > 1) {
         fail(error, "'server' must be 0 or 1, got '" + std::string(value) +
                         "'");
         return false;

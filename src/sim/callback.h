@@ -20,8 +20,10 @@ namespace st::sim {
 
 class Callback {
  public:
-  // Fits a this-pointer plus ~10 32-bit ids, or a whole std::function.
-  static constexpr std::size_t kInlineBytes = 48;
+  // Fits SystemContext::wrapStage's delivery guard around a [this, tag]
+  // action (this, receiver id, and the 48-byte action: 64 bytes), so a
+  // delivered protocol message allocates nothing.
+  static constexpr std::size_t kInlineBytes = 64;
 
   Callback() = default;
 

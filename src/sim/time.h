@@ -34,4 +34,16 @@ constexpr SimTime fromMillis(double millis) {
   return static_cast<SimTime>(millis * static_cast<double>(kMillisecond));
 }
 
+// fromSeconds / fromMillis for user input: converts `count` units of `unit`
+// (kSecond, kMillisecond) into `*out` when the microseconds fit SimTime, and
+// returns false otherwise (NaN and infinities included). In range the result
+// equals fromSeconds(count) / fromMillis(count) exactly.
+constexpr bool checkedTime(double count, SimTime unit, SimTime* out) {
+  const double micros = count * static_cast<double>(unit);
+  // ±2^63 are exact doubles; NaN fails both comparisons.
+  if (!(micros >= -0x1p63 && micros < 0x1p63)) return false;
+  *out = static_cast<SimTime>(micros);
+  return true;
+}
+
 }  // namespace st::sim

@@ -1,10 +1,9 @@
 #include "util/flags.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <system_error>
+
+#include "util/parse.h"
 
 namespace st {
 
@@ -60,9 +59,7 @@ std::int64_t Flags::getInt(const std::string& name, std::int64_t fallback,
   if (it == values_.end()) return fallback;
   const std::string& value = it->second;
   std::int64_t parsed = 0;
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
-  if (ec != std::errc{} || end != last || parsed < min) {
+  if (!parse::number(value, &parsed) || parsed < min) {
     std::string expected = "an integer";
     if (min != std::numeric_limits<std::int64_t>::min()) {
       expected += " >= " + std::to_string(min);
@@ -78,12 +75,21 @@ double Flags::getDouble(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   const std::string& value = it->second;
   double parsed = 0.0;
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
-  if (ec != std::errc{} || end != last || !std::isfinite(parsed)) {
+  if (!parse::number(value, &parsed)) {
     rejectValue(name, value, "a finite number");
   }
   return parsed;
+}
+
+sim::SimTime Flags::getSeconds(const std::string& name,
+                               sim::SimTime fallback) const {
+  if (!has(name)) return fallback;
+  sim::SimTime time = 0;
+  if (!sim::checkedTime(getDouble(name, 0.0), sim::kSecond, &time)) {
+    rejectValue(name, values_.at(name),
+                "a number of seconds below 9.2e12 in magnitude");
+  }
+  return time;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

@@ -2,8 +2,8 @@
 //
 // Supports `--name value`, `--name=value`, and boolean `--name`. Unknown
 // flags are an error so typos in sweep scripts fail loudly. Numeric values
-// are checked in full: an empty, non-numeric, trailing-garbage or
-// out-of-range value prints the flag and the token on stderr and exits 2,
+// are checked in full (util/parse.h): an empty, non-numeric, trailing-garbage
+// or out-of-range value prints the flag and the token on stderr and exits 2,
 // like the --faults / --overload / --shards spec errors.
 #pragma once
 
@@ -13,6 +13,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "sim/time.h"
 
 namespace st {
 
@@ -36,6 +38,11 @@ class Flags {
   // A given value must be a whole finite number.
   [[nodiscard]] double getDouble(const std::string& name,
                                  double fallback) const;
+  // A duration or instant in seconds, returned as sim::SimTime: a given
+  // value must be a whole finite number whose microseconds fit SimTime
+  // (sim::checkedTime).
+  [[nodiscard]] sim::SimTime getSeconds(const std::string& name,
+                                        sim::SimTime fallback) const;
   [[nodiscard]] bool getBool(const std::string& name, bool fallback) const;
 
   // Flags consumed by any getter or has(); a main() can call this to reject

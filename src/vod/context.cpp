@@ -111,30 +111,10 @@ void SystemContext::sendFromServer(UserId to, sim::EventTag tag) {
   network_.sendMessage(serverEndpoint_, endpointOf(to), tag);
 }
 
-sim::Callback SystemContext::wrapStage(const sim::EventTag& tag,
-                                       sim::Callback action) {
-  switch (static_cast<sim::Stage>(tag.stage)) {
-    case sim::Stage::kDirect:
-    case sim::Stage::kServerRun:
-      return action;
-    case sim::Stage::kUserDeliver:
-    case sim::Stage::kFromServer: {
-      const UserId to{tag.a32};
-      return [this, to, fn = std::move(action)]() mutable {
-        if (isOnline(to)) fn();
-      };
-    }
-    case sim::Stage::kServerArrive: {
-      // At the server NIC: queue the processing delay, then run the action
-      // under the kServerRun stage of the very same tag.
-      sim::EventTag run = tag;
-      run.stage = static_cast<std::uint16_t>(sim::Stage::kServerRun);
-      return [this, run] {
-        sim_.scheduleTagged(config_.serverProcessing, run);
-      };
-    }
-  }
-  return action;
+sim::Callback SystemContext::serverRun(const sim::EventTag& tag) {
+  sim::EventTag run = tag;
+  run.stage = static_cast<std::uint16_t>(sim::Stage::kServerRun);
+  return [this, run] { sim_.scheduleTagged(config_.serverProcessing, run); };
 }
 
 bool SystemContext::validStage(const sim::EventTag& tag) const {

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -122,9 +123,26 @@ class SystemContext final {
   // checks for user delivery, the server-processing hop for requests.
   // Factories call this from rebuild() so runtime and restore share one
   // path. For kServerArrive the action is ignored — the wrapper schedules
-  // the same tag at kServerRun.
+  // the same tag at kServerRun. The guard captures the action itself, not a
+  // Callback around it, so a guarded [this, tag] closure still fits
+  // Callback's inline buffer and a delivery allocates nothing.
+  template <typename Action>
   [[nodiscard]] sim::Callback wrapStage(const sim::EventTag& tag,
-                                        sim::Callback action);
+                                        Action action) {
+    switch (static_cast<sim::Stage>(tag.stage)) {
+      case sim::Stage::kUserDeliver:
+      case sim::Stage::kFromServer:
+        return [this, to = UserId{tag.a32}, fn = std::move(action)]() mutable {
+          if (isOnline(to)) fn();
+        };
+      case sim::Stage::kServerArrive:
+        return serverRun(tag);
+      case sim::Stage::kDirect:
+      case sim::Stage::kServerRun:
+        break;
+    }
+    return action;
+  }
 
   // --- restore validation (EventFactory::onRestored) -------------------------
   // A snapshot is outside input: factories check every tag word they index
@@ -181,6 +199,9 @@ class SystemContext final {
   bool loadState(snapshot::Reader& r);
 
  private:
+  // kServerArrive: queue the processing delay, then run the same tag at
+  // kServerRun.
+  [[nodiscard]] sim::Callback serverRun(const sim::EventTag& tag);
   sim::Simulator& sim_;
   net::Network& network_;
   const trace::Catalog& catalog_;

@@ -1,44 +1,13 @@
 #include "vod/overload.h"
 
-#include <cstdlib>
+#include "util/parse.h"
 
 namespace st::vod {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-void fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-}
-
-bool parseDouble(std::string_view token, double* out) {
-  const std::string copy(token);
-  if (copy.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool parseSize(std::string_view token, std::size_t* out) {
-  const std::string copy(token);
-  if (copy.empty() || copy.front() == '-' || copy.front() == '+') return false;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
+using parse::fail;
+using parse::trim;
 
 // The "on" shorthand: the full degradation ladder at sane defaults (half
 // the 320 kbps bitrate as the floor, a 30 s first-chunk deadline matching
@@ -85,37 +54,39 @@ bool OverloadConfig::parse(std::string_view spec, OverloadConfig* out,
       const std::string_view key = trim(field.substr(0, eq));
       const std::string_view value = trim(field.substr(eq + 1));
       double number = 0.0;
-      std::size_t count = 0;
+      std::uint64_t count = 0;
+      sim::SimTime time = 0;  // range check of the seconds-valued keys
       if (key == "floor_kbps") {
-        if (!parseDouble(value, &number) || number < 0.0) {
+        if (!parse::number(value, &number) || number < 0.0) {
           fail(error, "bad floor_kbps '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
         config.playbackFloorBps = number * 1000.0;
       } else if (key == "queue") {
-        if (!parseSize(value, &count)) {
+        if (!parse::number(value, &count)) {
           fail(error, "bad queue cap '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
         config.serverQueueCap = count;
       } else if (key == "deadline") {
-        if (!parseDouble(value, &number) || number < 0.0) {
+        if (!parse::number(value, &number) || number < 0.0 ||
+            !sim::checkedTime(number, sim::kSecond, &time)) {
           fail(error, "bad deadline '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
         config.admissionDeadlineSeconds = number;
       } else if (key == "credit") {
-        if (!parseSize(value, &count)) {
+        if (!parse::number(value, &count)) {
           fail(error, "bad prefetch credit '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
         config.prefetchCredit = count;
       } else if (key == "contention") {
-        if (!parseSize(value, &count)) {
+        if (!parse::number(value, &count)) {
           fail(error, "bad contention threshold '" + std::string(value) +
                           "'");
           *out = OverloadConfig{};
@@ -123,21 +94,21 @@ bool OverloadConfig::parse(std::string_view spec, OverloadConfig* out,
         }
         config.contentionThreshold = count;
       } else if (key == "breaker") {
-        if (!parseSize(value, &count)) {
+        if (!parse::number(value, &count)) {
           fail(error, "bad breaker threshold '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
         config.breakerThreshold = count;
       } else if (key == "cooldown") {
-        if (!parseDouble(value, &number) || number <= 0.0) {
+        if (!parse::number(value, &number) || number <= 0.0 ||
+            !sim::checkedTime(number, sim::kSecond, &config.breakerCooldown)) {
           fail(error, "bad breaker cooldown '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;
         }
-        config.breakerCooldown = sim::fromSeconds(number);
       } else if (key == "slo") {
-        if (!parseDouble(value, &number) || number < 0.0 || number > 1.0) {
+        if (!parse::number(value, &number) || number < 0.0 || number > 1.0) {
           fail(error, "slo must be in [0,1], got '" + std::string(value) +
                           "'");
           *out = OverloadConfig{};
@@ -145,7 +116,8 @@ bool OverloadConfig::parse(std::string_view spec, OverloadConfig* out,
         }
         config.rebufferSloRatio = number;
       } else if (key == "hedge") {
-        if (!parseDouble(value, &number) || number < 0.0) {
+        if (!parse::number(value, &number) || number < 0.0 ||
+            !sim::checkedTime(number, sim::kSecond, &time)) {
           fail(error, "bad hedge deadline '" + std::string(value) + "'");
           *out = OverloadConfig{};
           return false;

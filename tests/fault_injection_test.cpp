@@ -146,6 +146,16 @@ TEST(ScheduleParse, MalformedSpecsErrorCleanly) {
       "dup:t=1,peer=3",            // peer without user: no edge to name
       "crash:t=1,user=1,peer=2",   // peer on a non-edge kind
       "slow:t=1,user=2,peer=2",    // degenerate edge (peer == user)
+      "crash:t=inf",               // not a finite number
+      "crash:t=nan",
+      "crash:t=1e13",              // microseconds overflow SimTime
+      "loss:t=5,dur=nan",
+      "loss:t=5,dur=1e300",
+      "crash:t=1,frac=nan",
+      "loss:t=1,rate=nan",
+      "slow:t=1,factor=nan",
+      "flap:t=1,period=inf",
+      "reorder:t=1,delay_ms=1e300",
   };
   for (const char* spec : bad) {
     Schedule schedule;

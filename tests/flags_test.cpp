@@ -118,6 +118,14 @@ TEST(FlagsDeathTest, OutOfRangeValuesAreRejected) {
               ::testing::ExitedWithCode(2), "--audit.*'inf'");
   EXPECT_EXIT((void)parse({"--audit", "nan"}).getDouble("audit", 0.0),
               ::testing::ExitedWithCode(2), "--audit.*'nan'");
+  // Finite, but its microseconds overflow the simulation clock.
+  EXPECT_EXIT((void)parse({"--audit", "1e300"}).getSeconds("audit", 0),
+              ::testing::ExitedWithCode(2), "--audit.*'1e300'");
+  EXPECT_EXIT((void)bench::experimentConfig(parse({"--audit", "1e300"})),
+              ::testing::ExitedWithCode(2), "--audit.*'1e300'");
+  EXPECT_EXIT(
+      (void)bench::experimentConfig(parse({"--snapshot-at", "1e300"})),
+      ::testing::ExitedWithCode(2), "--snapshot-at.*'1e300'");
 }
 
 TEST(FlagsDeathTest, IntegerBelowTheCallersMinimumIsRejected) {
@@ -138,6 +146,10 @@ TEST(Flags, ExtremeButValidNumbersParse) {
             9223372036854775807);
   EXPECT_DOUBLE_EQ(parse({"--x", "-2.5e-3"}).getDouble("x", 0.0), -2.5e-3);
   EXPECT_DOUBLE_EQ(parse({"--x", "7"}).getDouble("x", 0.0), 7.0);
+  EXPECT_EQ(parse({"--t", "1.5"}).getSeconds("t", 0), 1'500'000);
+  EXPECT_EQ(parse({"--t", "-9e12"}).getSeconds("t", 0),
+            sim::fromSeconds(-9e12));
+  EXPECT_EQ(parse({}).getSeconds("t", 42), 42);  // fallback is not checked
 }
 
 // The figure binaries share bench::experimentConfig: zero users used to
@@ -181,6 +193,17 @@ TEST(SpecErrors, OverloadParseNamesOffendingToken) {
   EXPECT_NE(error.find("bogus"), std::string::npos);
   EXPECT_FALSE(vod::OverloadConfig::parse("queue=nope", &config, &error));
   EXPECT_NE(error.find("nope"), std::string::npos);
+  // Not finite, out of a duration's range, or overflowing the count type.
+  for (const char* spec :
+       {"cooldown=inf", "cooldown=1e300", "deadline=inf", "deadline=1e300",
+        "floor_kbps=nan", "slo=nan", "hedge=nan", "hedge=1e300",
+        "queue=99999999999999999999"}) {
+    error.clear();
+    EXPECT_FALSE(vod::OverloadConfig::parse(spec, &config, &error)) << spec;
+    const std::string value = std::string(spec).substr(
+        std::string(spec).find('=') + 1);
+    EXPECT_NE(error.find(value), std::string::npos) << spec << ": " << error;
+  }
 }
 
 TEST(SpecErrors, OverloadGrammarListsKeys) {

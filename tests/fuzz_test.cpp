@@ -169,10 +169,13 @@ std::string randomToken(Rng& rng) {
 }
 
 std::string randomValue(Rng& rng) {
-  switch (rng.uniformInt(std::uint64_t{4})) {
+  switch (rng.uniformInt(std::uint64_t{7})) {
     case 0: return std::to_string(rng.uniformInt(std::uint64_t{100000}));
     case 1: return std::to_string(rng.uniform() * 2.0);  // may exceed [0,1]
     case 2: return "-" + std::to_string(rng.uniformInt(std::uint64_t{100}));
+    case 3: return "nan";
+    case 4: return "inf";
+    case 5: return "1e300";  // finite, but overflows SimTime as seconds
     default: return randomToken(rng);
   }
 }

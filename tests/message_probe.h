@@ -41,7 +41,7 @@ class MessageProbe final : public sim::EventFactory {
   }
 
   [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override {
-    sim::Callback action = [this, id = tag.a] {
+    auto action = [this, id = tag.a] {
       delivered.push_back({id, sim_.now()});
       if (onDeliver) onDeliver(id);
     };
