@@ -93,8 +93,8 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   // Serializes the directory, per-node overlays/caches, the search pool, and
   // the flood-dedup stamps. Probe timers and search deadlines are re-stored
   // from the simulator queue via onRestored().
-  void saveState(snapshot::Writer& w) const;
-  bool loadState(snapshot::Reader& r);
+  void saveState(snapshot::Writer& w) const override;
+  [[nodiscard]] bool loadState(snapshot::Reader& r) override;
 
  private:
   // video -> links held in that video's overlay. Ordered map: iteration

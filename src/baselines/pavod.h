@@ -57,8 +57,8 @@ class PaVodSystem final : public vod::VodSystem, public sim::EventFactory {
 
   // Serializes the watcher directory and per-node watch state. PA-VoD holds
   // no timers, so nothing needs re-storing from the simulator queue.
-  void saveState(snapshot::Writer& w) const;
-  bool loadState(snapshot::Reader& r);
+  void saveState(snapshot::Writer& w) const override;
+  [[nodiscard]] bool loadState(snapshot::Reader& r) override;
 
  private:
   // Clears the user's per-session watch state (login, logout, playback end).

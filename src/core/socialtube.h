@@ -171,8 +171,8 @@ class SocialTubeSystem final : public vod::VodSystem,
   // Serializes the directory, every node's overlay/cache state, the search
   // pool, and the flood-dedup stamps. Probe timers and search deadlines are
   // re-stored from the simulator queue via onRestored().
-  void saveState(snapshot::Writer& w) const;
-  bool loadState(snapshot::Reader& r);
+  void saveState(snapshot::Writer& w) const override;
+  [[nodiscard]] bool loadState(snapshot::Reader& r) override;
 
  private:
   // Arena slack beyond the audited hard cap: injectLinkForTest deliberately

@@ -380,7 +380,7 @@ net::MessageFaultHook::Decision Injector::onMessage(EndpointId from,
       decision.drop = true;
       return decision;
     }
-    decision.extraDelay += window->extraDelay;
+    decision.addDelay(window->extraDelay);
   }
   // Gray failures: overlapping slow/flap windows compound multiplicatively.
   // The factor is recomputed per message from the active windows (never
@@ -406,8 +406,8 @@ net::MessageFaultHook::Decision Injector::onMessage(EndpointId from,
         rng_.bernoulli(window.event->lossRate)) {
       // Uniform displacement in (0, delay_ms] — forward only, so the
       // reordering stays legal against undisplaced same-floor traffic.
-      decision.extraDelay += 1 + static_cast<sim::SimTime>(rng_.uniformInt(
-          static_cast<std::uint64_t>(window.event->extraDelay)));
+      decision.addDelay(1 + static_cast<sim::SimTime>(rng_.uniformInt(
+          static_cast<std::uint64_t>(window.event->extraDelay))));
       if (reorders_ != nullptr) reorders_->inc();
     }
   }

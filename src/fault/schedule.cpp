@@ -1,6 +1,7 @@
 #include "fault/schedule.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/parse.h"
 
@@ -170,6 +171,17 @@ bool parseEvent(std::string_view text, FaultEvent* out, std::string* error) {
   }
   if (event.kind == FaultKind::kFlap && event.period == 0) {
     fail(error, "flap period rounds to zero microseconds: '" +
+                    std::string(text) + "'");
+    return false;
+  }
+  // A window's end, and a flap's flip one period past its last one inside
+  // the window, must fit the clock: arm() would schedule a wrapped time.
+  constexpr sim::SimTime kClockMax = std::numeric_limits<sim::SimTime>::max();
+  const sim::SimTime flip = event.kind == FaultKind::kFlap ? event.period : 0;
+  if (event.kind != FaultKind::kCrash && event.kind != FaultKind::kRejoin &&
+      (event.duration > kClockMax - event.at ||
+       flip > kClockMax - event.at - event.duration)) {
+    fail(error, "fault window ends past the simulation clock: '" +
                     std::string(text) + "'");
     return false;
   }

@@ -451,7 +451,11 @@ void FlowNetwork::finish(FlowId id) {
   beginBatch();
   Flow* flow = flows_.find(slot);
   settle(*flow);
-  assert(flow->bytesRemaining <= kEpsilonBytes + 1.0);
+  // reschedule() truncates the completion delay to whole microseconds
+  // (sim::fromSeconds), so a flow may finish up to one microsecond's worth
+  // of bytes early, beside float error.
+  assert(flow->bytesRemaining <=
+         kEpsilonBytes + flow->rateBps / 8.0 * sim::toSeconds(1));
   const Flow record = removeFlow(slot, /*completed=*/true);
   applyBatch();
   // Notify after the drain so observers (and the tag's component) see the

@@ -16,11 +16,22 @@ Network::Network(sim::Simulator& simulator,
 
 namespace {
 
-// Gray-failure latency stretch. factor == 1.0 is the exact identity (no
-// float round-trip), so runs without slow/flap windows stay bitwise equal.
-sim::SimTime stretch(sim::SimTime latency, double factor) {
-  if (factor == 1.0) return latency;
-  return static_cast<sim::SimTime>(static_cast<double>(latency) * factor);
+// The gray-failure stretch plus the extra delay, saturated at
+// MessageFaultHook::kMaxDelay. factor == 1.0 is the exact identity (no float
+// round-trip), so runs without slow/flap windows stay bitwise equal.
+sim::SimTime deliveryDelay(sim::SimTime latency,
+                           const MessageFaultHook::Decision& decision) {
+  constexpr sim::SimTime kMax = MessageFaultHook::kMaxDelay;
+  if (decision.delayFactor != 1.0) {
+    const double stretched =
+        static_cast<double>(latency) * decision.delayFactor;
+    // NaN and infinity fail the comparison too.
+    latency = stretched < static_cast<double>(kMax)
+                  ? static_cast<sim::SimTime>(stretched)
+                  : kMax;
+  }
+  return decision.extraDelay >= kMax - latency ? kMax
+                                               : latency + decision.extraDelay;
 }
 
 }  // namespace
@@ -43,8 +54,7 @@ bool Network::sendMessage(EndpointId from, EndpointId to,
     return false;
   }
   const sim::SimTime delay =
-      stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
-      decision.extraDelay;
+      deliveryDelay(latency_->delay(from, to, rng_), decision);
   const std::uint32_t key =
       to.index() < ownerKey_.size() ? ownerKey_[to.index()] : 0;
   sim_.scheduleForKeyTagged(key, delay, tag);
@@ -52,17 +62,11 @@ bool Network::sendMessage(EndpointId from, EndpointId to,
     // Dup fault: a second delivery of the very same tag, under its own
     // latency draw (it may overtake the original). Receivers are
     // generation-stamped/idempotent, so the copy is absorbed.
-    ++messagesDuplicated_;
     const sim::SimTime dupDelay =
-        stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
-        decision.extraDelay;
+        deliveryDelay(latency_->delay(from, to, rng_), decision);
     sim_.scheduleForKeyTagged(key, dupDelay, tag);
   }
   return true;
-}
-
-sim::SimTime Network::sampleDelay(EndpointId from, EndpointId to) {
-  return latency_->delay(from, to, rng_);
 }
 
 }  // namespace st::net

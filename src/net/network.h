@@ -25,6 +25,12 @@ namespace st::net {
 // the counter snapshot.
 class MessageFaultHook {
  public:
+  // Ceiling on a message's whole delivery delay: the modeled latency times
+  // delayFactor, plus extraDelay. Stacked windows or a factor like 1e300
+  // would otherwise leave SimTime's range; a saturated message arrives a
+  // simulated year later, past any horizon, and now + delay still fits.
+  static constexpr sim::SimTime kMaxDelay = 365 * sim::kDay;
+
   struct Decision {
     bool drop = false;
     sim::SimTime extraDelay = 0;
@@ -35,6 +41,12 @@ class MessageFaultHook {
     // Delivery fault: deliver the message twice, the copy under an
     // independent latency draw.
     bool duplicate = false;
+
+    // Adds `delay` (>= 0) to extraDelay, saturating at kMaxDelay.
+    void addDelay(sim::SimTime delay) {
+      extraDelay =
+          delay >= kMaxDelay - extraDelay ? kMaxDelay : extraDelay + delay;
+    }
   };
 
   virtual ~MessageFaultHook() = default;
@@ -67,14 +79,10 @@ class Network {
   // true if the message was actually sent (not lost).
   bool sendMessage(EndpointId from, EndpointId to, const sim::EventTag& tag);
 
-  // One-way delay sample without sending (for timeout sizing in protocols).
-  [[nodiscard]] sim::SimTime sampleDelay(EndpointId from, EndpointId to);
-
   // Installs (or clears, with nullptr) the scripted-fault hook. The hook is
   // consulted on every sendMessage before the latency model; it must outlive
   // its installation (the fault::Injector detaches itself on destruction).
   void setFaultHook(MessageFaultHook* hook) { faultHook_ = hook; }
-  [[nodiscard]] MessageFaultHook* faultHook() const { return faultHook_; }
 
   // --- data plane ----------------------------------------------------------
   FlowNetwork& flows() { return flows_; }
@@ -84,11 +92,6 @@ class Network {
   [[nodiscard]] std::uint64_t messagesLost() const { return messagesLost_; }
   [[nodiscard]] std::uint64_t messagesFaulted() const {
     return messagesFaulted_;
-  }
-  // Extra deliveries scheduled by dup fault windows. A plain accessor, not
-  // a registered gauge: calm-run counter fingerprints must not change.
-  [[nodiscard]] std::uint64_t messagesDuplicated() const {
-    return messagesDuplicated_;
   }
 
   // Exposes the control-plane tallies as pull gauges. The registry must not
@@ -137,11 +140,6 @@ class Network {
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesLost_ = 0;
   std::uint64_t messagesFaulted_ = 0;
-  // Not serialized: the NETW section predates dup faults and the committed
-  // golden snapshot pins its byte layout. The injector's "fault.dup_messages"
-  // counter is the restorable record; this tally is a per-process debugging
-  // aid.
-  std::uint64_t messagesDuplicated_ = 0;
 };
 
 }  // namespace st::net

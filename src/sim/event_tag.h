@@ -40,7 +40,7 @@ enum class Component : std::uint8_t {
   kFault = 7,     // fault::Injector activate / deactivate
   kInvariants = 8,
   kReleases = 9,
-  kRunner = 10,   // experiment-runner periodic samplers
+  kRunner = 10,   // exp::Run: server-state sampler, --snapshot-out save
   kRecovery = 11, // fault::RecoveryManager reconciliation rounds
 };
 inline constexpr std::size_t kComponentCount = 12;

@@ -32,6 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/stats.h"
+
 namespace st::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x4e535453;  // "STSN"
@@ -321,6 +323,28 @@ inline bool Reader::readFile(const std::string& path,
     return false;
   }
   return true;
+}
+
+// A RunningStats accumulator as five fields (count, mean, m2, min, max).
+inline void saveRunningStats(Writer& w, const RunningStats& stats) {
+  const RunningStats::State s = stats.state();
+  w.u64(s.count);
+  w.f64(s.mean);
+  w.f64(s.m2);
+  w.f64(s.min);
+  w.f64(s.max);
+}
+
+inline RunningStats loadRunningStats(Reader& r) {
+  RunningStats::State s;
+  s.count = static_cast<std::size_t>(r.u64());
+  s.mean = r.f64();
+  s.m2 = r.f64();
+  s.min = r.f64();
+  s.max = r.f64();
+  RunningStats stats;
+  stats.setState(s);
+  return stats;
 }
 
 }  // namespace st::snapshot

@@ -1,5 +1,7 @@
 #include "snapshot/snapshot.h"
 
+#include <iterator>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,21 +14,31 @@ namespace {
 constexpr std::uint32_t kCompatTag = 0x54504d43;  // "CMPT"
 constexpr std::uint32_t kRunnerTag = 0x524e5552;  // "RUNR"
 
-// 0 = none wired; the codes are part of the format, append-only.
+// A system's code is its index here; the codes are part of the format,
+// append-only. 0 = none wired (or an unknown name).
+constexpr std::string_view kSystemNames[] = {"?", "SocialTube", "NetTube",
+                                             "PA-VoD"};
+
 std::uint8_t systemCode(const Participants& p) {
-  if (p.socialTube != nullptr) return 1;
-  if (p.netTube != nullptr) return 2;
-  if (p.paVod != nullptr) return 3;
+  if (p.system == nullptr) return 0;
+  for (std::uint8_t code = 1; code < std::size(kSystemNames); ++code) {
+    if (p.system->name() == kSystemNames[code]) return code;
+  }
   return 0;
 }
 
-const char* systemCodeName(std::uint8_t code) {
-  switch (code) {
-    case 1: return "SocialTube";
-    case 2: return "NetTube";
-    case 3: return "PA-VoD";
-  }
-  return "?";
+std::string_view systemCodeName(std::uint8_t code) {
+  return code < std::size(kSystemNames) ? kSystemNames[code]
+                                        : kSystemNames[0];
+}
+
+// Every required participant is set and the system's name has a code.
+bool wired(const Participants& p) {
+  return p.sim != nullptr && p.network != nullptr && p.ctx != nullptr &&
+         p.metrics != nullptr && p.transfers != nullptr &&
+         p.driver != nullptr && p.selector != nullptr &&
+         p.releases != nullptr && p.serverSample != nullptr &&
+         systemCode(p) != 0;
 }
 
 bool failOut(std::string* error, std::string message) {
@@ -43,10 +55,7 @@ std::string readerError(const Reader& r) {
 
 bool save(const std::string& path, const Participants& p, const Compat& compat,
           std::string* error, std::uint64_t* bytesOut) {
-  if (p.sim == nullptr || p.network == nullptr || p.ctx == nullptr ||
-      p.metrics == nullptr || p.transfers == nullptr || p.driver == nullptr ||
-      p.selector == nullptr || p.releases == nullptr ||
-      p.serverSample == nullptr || systemCode(p) == 0) {
+  if (!wired(p)) {
     return failOut(error, "snapshot save: participants incompletely wired");
   }
 
@@ -65,13 +74,7 @@ bool save(const std::string& path, const Participants& p, const Compat& compat,
   p.network->saveState(w);
   if (!p.network->flows().saveState(w, error)) return false;
   p.transfers->saveState(w);
-  if (p.socialTube != nullptr) {
-    p.socialTube->saveState(w);
-  } else if (p.netTube != nullptr) {
-    p.netTube->saveState(w);
-  } else {
-    p.paVod->saveState(w);
-  }
+  p.system->saveState(w);
   p.driver->saveState(w);
   p.selector->saveState(w);
   p.releases->saveState(w);
@@ -80,12 +83,7 @@ bool save(const std::string& path, const Participants& p, const Compat& compat,
   if (p.trace != nullptr) p.trace->saveState(w);
 
   w.section(kRunnerTag);
-  const RunningStats::State sample = p.serverSample->state();
-  w.u64(sample.count);
-  w.f64(sample.mean);
-  w.f64(sample.m2);
-  w.f64(sample.min);
-  w.f64(sample.max);
+  saveRunningStats(w, *p.serverSample);
 
   // The event queue goes last so restore can rebuild callbacks against
   // fully loaded component state.
@@ -101,10 +99,7 @@ bool save(const std::string& path, const Participants& p, const Compat& compat,
 bool restore(const std::string& path, const Participants& p,
              const Compat& compat, std::string* error, RestoreInfo* info,
              std::uint64_t* bytesOut) {
-  if (p.sim == nullptr || p.network == nullptr || p.ctx == nullptr ||
-      p.metrics == nullptr || p.transfers == nullptr || p.driver == nullptr ||
-      p.selector == nullptr || p.releases == nullptr ||
-      p.serverSample == nullptr || systemCode(p) == 0) {
+  if (!wired(p)) {
     return failOut(error, "snapshot restore: participants incompletely wired");
   }
 
@@ -133,8 +128,8 @@ bool restore(const std::string& path, const Participants& p,
                    "snapshot workload shape mismatch (users/videos differ)");
   }
   if (savedSystem != systemCode(p)) {
-    return failOut(error, std::string("snapshot was taken for ") +
-                              systemCodeName(savedSystem) +
+    return failOut(error, "snapshot was taken for " +
+                              std::string(systemCodeName(savedSystem)) +
                               ", not the configured system");
   }
   // Machinery present at save time must be present now — its pending events
@@ -166,15 +161,7 @@ bool restore(const std::string& path, const Participants& p,
   if (!p.network->loadState(r)) return failOut(error, readerError(r));
   if (!p.network->flows().loadState(r)) return failOut(error, readerError(r));
   if (!p.transfers->loadState(r)) return failOut(error, readerError(r));
-  bool systemOk = false;
-  if (p.socialTube != nullptr) {
-    systemOk = p.socialTube->loadState(r);
-  } else if (p.netTube != nullptr) {
-    systemOk = p.netTube->loadState(r);
-  } else {
-    systemOk = p.paVod->loadState(r);
-  }
-  if (!systemOk) return failOut(error, readerError(r));
+  if (!p.system->loadState(r)) return failOut(error, readerError(r));
   if (!p.driver->loadState(r)) return failOut(error, readerError(r));
   if (!p.selector->loadState(r)) return failOut(error, readerError(r));
   if (!p.releases->loadState(r)) return failOut(error, readerError(r));
@@ -189,14 +176,9 @@ bool restore(const std::string& path, const Participants& p,
   }
 
   r.section(kRunnerTag, "runner sampler");
-  RunningStats::State sample;
-  sample.count = static_cast<std::size_t>(r.u64());
-  sample.mean = r.f64();
-  sample.m2 = r.f64();
-  sample.min = r.f64();
-  sample.max = r.f64();
+  const RunningStats sample = loadRunningStats(r);
   if (!r.ok()) return failOut(error, readerError(r));
-  p.serverSample->setState(sample);
+  *p.serverSample = sample;
 
   if (!p.sim->loadState(r)) return failOut(error, readerError(r));
   if (!r.atEnd()) {

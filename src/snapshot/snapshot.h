@@ -18,19 +18,15 @@
 // EventFactory::onRestored re-stores timer/deadline handles.
 //
 // After a successful restore the caller must NOT re-run the fresh-start
-// scheduling (SessionDriver::start, Injector::arm, InvariantChecker::arm,
-// ReleaseManager::schedule, the runner's sampler arm): every pending event
-// comes from the file. Warm-start forking is the exception: fault/audit
-// machinery that was absent when the snapshot was taken may be armed after
-// restore to layer new scenarios onto the warmed state.
+// scheduling (exp::Run::start): every pending event comes from the file.
+// Warm-start forking is the exception: fault/audit machinery that was
+// absent when the snapshot was taken may be armed after restore to layer
+// new scenarios onto the warmed state (exp::Run::restore does both).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "baselines/nettube.h"
-#include "baselines/pavod.h"
-#include "core/socialtube.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
 #include "obs/event_trace.h"
@@ -41,12 +37,13 @@
 #include "vod/releases.h"
 #include "vod/selector.h"
 #include "vod/session.h"
+#include "vod/system.h"
 #include "vod/transfer.h"
 
 namespace st::snapshot {
 
-// Everything a checkpoint touches. Exactly one of socialTube / netTube /
-// paVod must be non-null (it selects the system section). injector,
+// Everything a checkpoint touches (exp::Run::participants() wires a run's
+// stack). The system's name() selects the file's system code. injector,
 // checker, and trace are optional; save() records which were present and
 // restore() cross-checks (see Compat flags below).
 struct Participants {
@@ -55,9 +52,7 @@ struct Participants {
   vod::SystemContext* ctx = nullptr;
   vod::Metrics* metrics = nullptr;
   vod::TransferManager* transfers = nullptr;
-  core::SocialTubeSystem* socialTube = nullptr;
-  baselines::NetTubeSystem* netTube = nullptr;
-  baselines::PaVodSystem* paVod = nullptr;
+  vod::VodSystem* system = nullptr;
   vod::SessionDriver* driver = nullptr;
   vod::VideoSelector* selector = nullptr;
   vod::ReleaseManager* releases = nullptr;

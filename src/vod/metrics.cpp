@@ -61,27 +61,6 @@ SampleSet Metrics::normalizedPeerBandwidth() const {
 
 namespace {
 
-void saveRunningStats(snapshot::Writer& w, const RunningStats& stats) {
-  const RunningStats::State s = stats.state();
-  w.u64(s.count);
-  w.f64(s.mean);
-  w.f64(s.m2);
-  w.f64(s.min);
-  w.f64(s.max);
-}
-
-RunningStats loadRunningStats(snapshot::Reader& r) {
-  RunningStats stats;
-  RunningStats::State s;
-  s.count = static_cast<std::size_t>(r.u64());
-  s.mean = r.f64();
-  s.m2 = r.f64();
-  s.min = r.f64();
-  s.max = r.f64();
-  stats.setState(s);
-  return stats;
-}
-
 void saveSampleSet(snapshot::Writer& w, const SampleSet& samples) {
   w.boolean(samples.sortPending());
   w.u64(samples.count());
@@ -107,9 +86,9 @@ void Metrics::saveState(snapshot::Writer& w) const {
   for (const std::uint64_t chunks : serverChunks_) w.u64(chunks);
   w.u64(linksByVideosWatched_.size());
   for (const RunningStats& stats : linksByVideosWatched_) {
-    saveRunningStats(w, stats);
+    snapshot::saveRunningStats(w, stats);
   }
-  saveRunningStats(w, redundantLinks_);
+  snapshot::saveRunningStats(w, redundantLinks_);
   w.u64(stallCount_);
   w.f64(stallSeconds_);
   w.f64(playbackSeconds_);
@@ -140,9 +119,9 @@ bool Metrics::loadState(snapshot::Reader& r) {
     return false;
   }
   for (RunningStats& stats : linksByVideosWatched_) {
-    stats = loadRunningStats(r);
+    stats = snapshot::loadRunningStats(r);
   }
-  redundantLinks_ = loadRunningStats(r);
+  redundantLinks_ = snapshot::loadRunningStats(r);
   stallCount_ = r.u64();
   stallSeconds_ = r.f64();
   playbackSeconds_ = r.f64();

@@ -13,6 +13,11 @@
 #include "util/strong_id.h"
 #include "vod/audit.h"
 
+namespace st::snapshot {
+class Reader;
+class Writer;
+}  // namespace st::snapshot
+
 namespace st::vod {
 
 class VodSystem {
@@ -112,6 +117,12 @@ class VodSystem {
     (void)report;
     (void)user;
   }
+
+  // Checkpoint/restore of the system's overlay, cache and search state (one
+  // snapshot section, DESIGN.md §11). The runner also fingerprints a run's
+  // final state by hashing what saveState writes.
+  virtual void saveState(snapshot::Writer& w) const = 0;
+  [[nodiscard]] virtual bool loadState(snapshot::Reader& r) = 0;
 
  protected:
   void notifyPlayback(UserId user, VideoId video, sim::SimTime delay,

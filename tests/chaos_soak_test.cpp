@@ -152,23 +152,22 @@ TEST(ChaosSoak, RestoreMidSoakResumesCleanAndDeterministic) {
 
   std::vector<std::string> paths(kCount);
   std::vector<ExperimentResult> baseline(kCount);
+  const auto seeded = [&](std::size_t i) {
+    ExperimentConfig config = chaosConfig();
+    config.seed = kRestoreSeeds[i];
+    config.trace.seed = kRestoreSeeds[i];
+    return config;
+  };
   for (std::size_t i = 0; i < kCount; ++i) {
-    ExperimentConfig warm = chaosConfig();
-    warm.seed = kRestoreSeeds[i];
-    warm.trace.seed = kRestoreSeeds[i];
     paths[i] = st::testing::snapshotPath("seed" +
                                          std::to_string(kRestoreSeeds[i]));
-    warm.snapshot.out = paths[i];
-    warm.snapshot.at = saveAt;
-    baseline[i] = runExperiment(warm, SystemKind::kSocialTube);
+    baseline[i] = st::testing::runSaving(seeded(i), SystemKind::kSocialTube,
+                                         paths[i], saveAt);
   }
 
   const auto restored = [&](std::size_t i) {
-    ExperimentConfig resumed = chaosConfig();
-    resumed.seed = kRestoreSeeds[i];
-    resumed.trace.seed = kRestoreSeeds[i];
-    resumed.snapshot.in = paths[i];
-    return runExperiment(resumed, SystemKind::kSocialTube);
+    return st::testing::runRestoring(seeded(i), SystemKind::kSocialTube,
+                                     paths[i]);
   };
   std::vector<ExperimentResult> sequential(kCount);
   for (std::size_t i = 0; i < kCount; ++i) sequential[i] = restored(i);
@@ -188,24 +187,11 @@ TEST(ChaosSoak, RestoreMidSoakResumesCleanAndDeterministic) {
         << "seed " << seed;
     EXPECT_GT(sequential[i].counter("invariant.audits"), 100u)
         << "seed " << seed;
-    // Bitwise equality with the run that never stopped...
-    EXPECT_TRUE(sequential[i].counters == baseline[i].counters)
-        << "seed " << seed;
-    EXPECT_EQ(sequential[i].overlayFingerprint, baseline[i].overlayFingerprint)
-        << "seed " << seed;
-    EXPECT_EQ(sequential[i].startupDelayMs.mean(),
-              baseline[i].startupDelayMs.mean())
-        << "seed " << seed;
-    EXPECT_EQ(sequential[i].uploadGini, baseline[i].uploadGini)
-        << "seed " << seed;
-    // ...and across restore thread counts.
-    EXPECT_TRUE(sequential[i].counters == parallel[i].counters)
-        << "seed " << seed;
-    EXPECT_EQ(sequential[i].overlayFingerprint, parallel[i].overlayFingerprint)
-        << "seed " << seed;
-    EXPECT_EQ(sequential[i].startupDelayMs.mean(),
-              parallel[i].startupDelayMs.mean())
-        << "seed " << seed;
+    // Bitwise equality with the run that never stopped, and across restore
+    // thread counts.
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    st::testing::expectSameOutcome(sequential[i], baseline[i]);
+    st::testing::expectSameOutcome(sequential[i], parallel[i]);
     std::remove(paths[i].c_str());
   }
 }
@@ -325,27 +311,19 @@ TEST(ChaosSoak, RestoreMidGrayStormResumesBitwise) {
       "rejoin:t=35940,frac=1";
   config.faults.auditInterval = 10 * sim::kMinute;
 
-  ExperimentConfig warm = config;
   const std::string path = st::testing::snapshotPath("gray_storm");
-  warm.snapshot.out = path;
-  warm.snapshot.at = 10 * sim::kHour;  // t=36000: all windows open
-  const ExperimentResult baseline =
-      runExperiment(warm, SystemKind::kSocialTube);
-
-  ExperimentConfig resumed = config;
-  resumed.snapshot.in = path;
+  // t=36000: all windows open.
+  const ExperimentResult baseline = st::testing::runSaving(
+      config, SystemKind::kSocialTube, path, 10 * sim::kHour);
   const ExperimentResult restored =
-      runExperiment(resumed, SystemKind::kSocialTube);
+      st::testing::runRestoring(config, SystemKind::kSocialTube, path);
   std::remove(path.c_str());
 
   EXPECT_EQ(restored.counter("fault.events"), 5u);
   EXPECT_GT(restored.counter("fault.dup_messages"), 0u);
   EXPECT_GT(restored.counter("recovery.recovered"), 0u);
   EXPECT_EQ(restored.counter("invariant.violations"), 0u);
-  EXPECT_TRUE(restored.counters == baseline.counters);
-  EXPECT_EQ(restored.overlayFingerprint, baseline.overlayFingerprint);
-  EXPECT_EQ(restored.startupDelayMs.mean(), baseline.startupDelayMs.mean());
-  EXPECT_EQ(restored.uploadGini, baseline.uploadGini);
+  st::testing::expectSameOutcome(baseline, restored);
 }
 
 }  // namespace

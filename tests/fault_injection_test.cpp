@@ -156,6 +156,9 @@ TEST(ScheduleParse, MalformedSpecsErrorCleanly) {
       "slow:t=1,factor=nan",
       "flap:t=1,period=inf",
       "reorder:t=1,delay_ms=1e300",
+      "loss:t=9e12,dur=9e12",       // window end overflows SimTime
+      "slow:t=9.2e12,dur=5e10",     // so does a slow window's
+      "flap:t=9e12,dur=1,period=9e12",  // a flip one period on overflows
   };
   for (const char* spec : bad) {
     Schedule schedule;

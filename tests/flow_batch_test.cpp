@@ -57,6 +57,34 @@ TEST_F(FlowBatchTest, DropSettlesASharedEndpointOnce) {
   EXPECT_EQ(flows_.activeFlows(), 1u);
 }
 
+TEST_F(FlowBatchTest, SameInstantCompletionsFireInRescheduleOrder) {
+  // DESIGN.md §12: the drain re-rates dirty endpoints in the order of
+  // their last mark, as the eager solver's final refreshes did. Two equal
+  // flows on disjoint pairs, started in one batch, finish in the same
+  // microsecond; their completions then fire in stamp (reschedule) order:
+  // the first flow's endpoints were marked first.
+  const EndpointId a = endpoint(0);
+  const EndpointId b = endpoint(1);
+  const EndpointId c = endpoint(2);
+  const EndpointId d = endpoint(3);
+  FlowId first;
+  FlowId second;
+  {
+    FlowNetwork::MutationBatch batch(flows_);
+    first = flows_.startFlow(a, b, 1'000'000);
+    second = flows_.startFlow(c, d, 1'000'000);
+  }
+  std::vector<sim::SimTime> finishedAt;
+  const auto stamp = [&] { finishedAt.push_back(sim_.now()); };
+  observer_.onComplete(first, stamp);
+  observer_.onComplete(second, stamp);
+  sim_.run();
+  EXPECT_EQ(observer_.completions, (std::vector<FlowId>{first, second}));
+  // 1 MB at 8 Mbit/s each.
+  EXPECT_EQ(finishedAt,
+            (std::vector<sim::SimTime>{sim::kSecond, sim::kSecond}));
+}
+
 TEST_F(FlowBatchTest, DropHandlesMixedFlowStatesAtOneEndpoint) {
   // One endpoint holding every kind of flow state at once: an active
   // playback upload, a floor-paused prefetch upload, an active inbound

@@ -426,20 +426,18 @@ exp::ExperimentConfig tinyConfig() {
   return config;
 }
 
-// A snapshot of tinyConfig taken mid-run, so the file carries a live event
+// A snapshot of `config` taken mid-run, so the file carries a live event
 // queue, overlay, and in-flight transfers.
 std::vector<std::uint8_t> donorOf(exp::SystemKind system,
-                                  sim::SimTime saveAt = sim::kHour / 2) {
-  exp::ExperimentConfig config = tinyConfig();
-  config.snapshot.out = st::testing::snapshotPath("fuzz_donor");
-  config.snapshot.at = saveAt;
-  exp::runExperiment(config, system);
-  std::vector<std::uint8_t> bytes;
-  std::string error;
-  if (!snapshot::Reader::readFile(config.snapshot.out, &bytes, &error)) {
-    ADD_FAILURE() << "donor snapshot unreadable: " << error;
-  }
-  std::remove(config.snapshot.out.c_str());
+                                  sim::SimTime saveAt = sim::kHour / 2,
+                                  const exp::ExperimentConfig& config =
+                                      tinyConfig()) {
+  const std::string path = st::testing::snapshotPath("fuzz_donor");
+  const std::string error =
+      st::testing::runSaving(config, system, path, saveAt).error;
+  if (!error.empty()) ADD_FAILURE() << error;
+  std::vector<std::uint8_t> bytes = st::testing::fileBytes(path);
+  std::remove(path.c_str());
   return bytes;
 }
 
@@ -465,9 +463,10 @@ void fixupHeader(std::vector<std::uint8_t>* file) {
   }
 }
 
-// Full restore attempt into a fresh stack. Returns restore()'s verdict;
-// the caller asserts on cleanliness, not on rejection.
-bool tryRestore(const std::vector<std::uint8_t>& file, std::string* error) {
+// Restores the image `file` into `run` through a scratch file. Returns
+// restore()'s verdict; the caller asserts on cleanliness, not on rejection.
+bool restoreBytes(exp::Run& run, const std::vector<std::uint8_t>& file,
+                  std::string* error) {
   const std::string path = st::testing::snapshotPath("mutant");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -476,12 +475,16 @@ bool tryRestore(const std::vector<std::uint8_t>& file, std::string* error) {
   }
   if (!file.empty()) std::fwrite(file.data(), 1, file.size(), f);
   std::fclose(f);
-  st::testing::RestoreStack stack(tinyConfig(),
-                                  exp::SystemKind::kSocialTube);
-  const bool ok =
-      snapshot::restore(path, stack.participants(), stack.compat(), error);
+  const bool ok = run.restore(path, error);
   std::remove(path.c_str());
   return ok;
+}
+
+// Full restore attempt into a fresh stack.
+bool tryRestore(const std::vector<std::uint8_t>& file, std::string* error) {
+  const auto run =
+      st::testing::makeRun(tinyConfig(), exp::SystemKind::kSocialTube);
+  return run != nullptr && restoreBytes(*run, file, error);
 }
 
 }  // namespace snapshot_fuzz
@@ -607,6 +610,7 @@ enum class Rewrite : std::uint8_t {
   // A probe turned into a goodbye addressed to a user past the catalog:
   // wrapStage() reads the receiver's presence flag.
   kGoodbyeToNobody,
+  kUnknownKind,  // kind = one the component never schedules
 };
 
 void applyRewrite(Rewrite rewrite, sim::EventTag* tag) {
@@ -624,6 +628,9 @@ void applyRewrite(Rewrite rewrite, sim::EventTag* tag) {
       tag->kind = core::SocialTubeSystem::kGoodbyeEvent;
       tag->stage = static_cast<std::uint16_t>(sim::Stage::kUserDeliver);
       tag->a32 = 0xffffff;
+      return;
+    case Rewrite::kUnknownKind:
+      tag->kind = 0xee;
       return;
   }
 }
@@ -651,20 +658,6 @@ exp::ExperimentConfig corruptionConfig(const TagCorruption& c) {
     config.releases.windowEndFraction = 0.9;
   }
   return config;
-}
-
-std::vector<std::uint8_t> corruptionDonor(const TagCorruption& c) {
-  exp::ExperimentConfig config = corruptionConfig(c);
-  config.snapshot.out = st::testing::snapshotPath("tag_donor");
-  config.snapshot.at = sim::kHour / 2;
-  exp::runExperiment(config, c.system);
-  std::vector<std::uint8_t> bytes;
-  std::string error;
-  if (!snapshot::Reader::readFile(config.snapshot.out, &bytes, &error)) {
-    ADD_FAILURE() << "donor snapshot unreadable: " << error;
-  }
-  std::remove(config.snapshot.out.c_str());
-  return bytes;
 }
 
 // File offsets of every pending event's tag. The simulator queue is the
@@ -708,7 +701,9 @@ TEST_P(SnapshotTagFuzz, OutOfRangeTagFailsTheRestore) {
   // on a little-endian host the 40 bytes are the struct's bytes.
   static_assert(std::endian::native == std::endian::little);
   const snapshot_fuzz::TagCorruption& c = GetParam();
-  std::vector<std::uint8_t> mutant = snapshot_fuzz::corruptionDonor(c);
+  const exp::ExperimentConfig config = snapshot_fuzz::corruptionConfig(c);
+  std::vector<std::uint8_t> mutant =
+      snapshot_fuzz::donorOf(c.system, sim::kHour / 2, config);
   sim::EventTag tag;
   std::size_t at = 0;
   for (const std::size_t offset : snapshot_fuzz::pendingTagOffsets(mutant)) {
@@ -724,18 +719,11 @@ TEST_P(SnapshotTagFuzz, OutOfRangeTagFailsTheRestore) {
   std::memcpy(mutant.data() + at, &tag, sizeof tag);
   snapshot_fuzz::fixupHeader(&mutant);
 
-  const std::string path = st::testing::snapshotPath("tag_mutant");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(mutant.data(), 1, mutant.size(), f);
-  std::fclose(f);
-  const exp::ExperimentConfig config = snapshot_fuzz::corruptionConfig(c);
-  st::testing::RestoreStack stack(config, c.system);
+  const auto run = st::testing::makeRun(config, c.system);
+  ASSERT_TRUE(run);
   std::string error;
-  const bool ok =
-      snapshot::restore(path, stack.participants(), stack.compat(), &error);
-  std::remove(path.c_str());
-  if (ok) stack.sim().runUntil(config.duration);
+  const bool ok = snapshot_fuzz::restoreBytes(*run, mutant, &error);
+  if (ok) run->simulator().runUntil(config.duration);
   EXPECT_FALSE(ok);
   const std::string named = "(component " + std::to_string(tag.component) +
                             ", kind " + std::to_string(tag.kind) + ")";
@@ -772,7 +760,13 @@ INSTANTIATE_TEST_SUITE_P(
         snapshot_fuzz::TagCorruption{
             "ReleaseVideo", exp::SystemKind::kPaVod, 2,
             sim::Component::kReleases, vod::ReleaseManager::kReleaseEvent,
-            snapshot_fuzz::Rewrite::kArgumentPastCatalog}),
+            snapshot_fuzz::Rewrite::kArgumentPastCatalog},
+        // The runner restores its periodic sample; any other kind of
+        // pending kRunner event names nothing.
+        snapshot_fuzz::TagCorruption{
+            "RunnerKind", exp::SystemKind::kSocialTube, 0,
+            sim::Component::kRunner, exp::Run::kSampleEvent,
+            snapshot_fuzz::Rewrite::kUnknownKind}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Section bodies carry catalog ids too, which later code indexes arrays
@@ -899,8 +893,9 @@ void expectBodyIdRefused(exp::SystemKind system, BodyId id,
   const std::size_t at = mutant.empty() ? 0 : bodyIdOffset(mutant, id);
   ASSERT_NE(at, 0u) << "donor holds no " << field;
   const exp::ExperimentConfig config = tinyConfig();
-  st::testing::RestoreStack stack(config, system);
-  const trace::Catalog& catalog = stack.catalog();
+  const auto run = st::testing::makeRun(config, system);
+  ASSERT_TRUE(run);
+  const trace::Catalog& catalog = run->catalog();
   const std::uint64_t pastCatalog = id == BodyId::kNodeCategory
                                         ? catalog.categoryCount()
                                         : catalog.videoCount();
@@ -909,16 +904,9 @@ void expectBodyIdRefused(exp::SystemKind system, BodyId id,
   }
   fixupHeader(&mutant);
 
-  const std::string path = st::testing::snapshotPath("body_mutant");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(mutant.data(), 1, mutant.size(), f);
-  std::fclose(f);
   std::string error;
-  const bool ok =
-      snapshot::restore(path, stack.participants(), stack.compat(), &error);
-  std::remove(path.c_str());
-  if (ok) stack.sim().runUntil(config.duration);
+  const bool ok = restoreBytes(*run, mutant, &error);
+  if (ok) run->simulator().runUntil(config.duration);
   EXPECT_FALSE(ok);
   EXPECT_NE(error.find(field + " out of range"), std::string::npos) << error;
 }
@@ -1025,23 +1013,24 @@ PayloadDonor pendingPayloadDonor(exp::SystemKind system,
                                  sim::Component component,
                                  std::uint8_t kind) {
   const exp::ExperimentConfig config = payloadConfig();
-  st::testing::RestoreStack stack(config, system);
-  sim::Simulator& simulator = stack.sim();
+  const auto run = st::testing::makeRun(config, system);
+  if (run == nullptr) return {};
+  sim::Simulator& simulator = run->simulator();
   sim::EventFactory* factory = simulator.factory(component);
   KindSpy spy(*factory, kind);
   simulator.registerFactory(component, &spy);
-  stack.driver().start();
+  run->start();
   const std::string path = st::testing::snapshotPath("payload_donor");
   PayloadDonor donor;
   while (donor.entry == 0 && simulator.now() < config.duration &&
          simulator.step()) {
     if (!std::exchange(spy.scheduled, false)) continue;
     std::string error;
-    if (!snapshot::save(path, stack.participants(), stack.compat(), &error) ||
-        !snapshot::Reader::readFile(path, &donor.file, &error)) {
+    if (!snapshot::save(path, run->participants(), run->compat(), &error)) {
       ADD_FAILURE() << error;
       break;
     }
+    donor.file = st::testing::fileBytes(path);
     for (const std::size_t offset : pendingTagOffsets(donor.file)) {
       sim::EventTag tag;
       std::memcpy(&tag, donor.file.data() + offset, sizeof tag);
@@ -1063,24 +1052,18 @@ void expectPayloadIdRefused(exp::SystemKind system, sim::Component component,
   PayloadDonor donor = pendingPayloadDonor(system, component, kind);
   ASSERT_NE(donor.entry, 0u) << "no pending payload of kind " << int{kind};
   const exp::ExperimentConfig config = payloadConfig();
-  st::testing::RestoreStack stack(config, system);
-  const std::uint64_t limit = listsVideos ? stack.catalog().videoCount()
-                                          : stack.catalog().userCount();
+  const auto run = st::testing::makeRun(config, system);
+  ASSERT_TRUE(run);
+  const std::uint64_t limit = listsVideos ? run->catalog().videoCount()
+                                          : run->catalog().userCount();
   for (int i = 0; i < 4; ++i) {
     donor.file[donor.entry + i] = static_cast<std::uint8_t>(limit >> (8 * i));
   }
   fixupHeader(&donor.file);
 
-  const std::string path = st::testing::snapshotPath("payload_mutant");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(donor.file.data(), 1, donor.file.size(), f);
-  std::fclose(f);
   std::string error;
-  const bool ok =
-      snapshot::restore(path, stack.participants(), stack.compat(), &error);
-  std::remove(path.c_str());
-  if (ok) stack.sim().runUntil(config.duration);
+  const bool ok = restoreBytes(*run, donor.file, &error);
+  if (ok) run->simulator().runUntil(config.duration);
   EXPECT_FALSE(ok);
   const std::string named = "(component " +
                             std::to_string(static_cast<int>(component)) +
@@ -1177,15 +1160,9 @@ std::pair<Table, Table> ledgerAndSuspects(
 }
 
 void expectRepeatedKeyRefused(bool ledger, const std::string& message) {
-  exp::ExperimentConfig config = rejoinConfig();
-  const std::string path = st::testing::snapshotPath("rejoin_donor");
-  config.snapshot.out = path;
-  config.snapshot.at = 915 * sim::kSecond;
-  ASSERT_EQ(exp::runExperiment(config, exp::SystemKind::kSocialTube).error,
-            "");
-  std::vector<std::uint8_t> file;
-  std::string error;
-  ASSERT_TRUE(snapshot::Reader::readFile(path, &file, &error)) << error;
+  std::vector<std::uint8_t> file = donorOf(
+      exp::SystemKind::kSocialTube, 915 * sim::kSecond, rejoinConfig());
+  ASSERT_FALSE(file.empty());
 
   const auto [ledgerTable, suspectTable] = ledgerAndSuspects(file);
   const Table table = ledger ? ledgerTable : suspectTable;
@@ -1203,17 +1180,13 @@ void expectRepeatedKeyRefused(bool ledger, const std::string& message) {
     file[table.count + i] = static_cast<std::uint8_t>((entries + 1) >> (8 * i));
   }
   fixupHeader(&file);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(file.data(), 1, file.size(), f);
-  std::fclose(f);
 
-  exp::ExperimentConfig resumed = rejoinConfig();
-  resumed.snapshot.in = path;
-  const exp::ExperimentResult result =
-      exp::runExperiment(resumed, exp::SystemKind::kSocialTube);
-  std::remove(path.c_str());
-  EXPECT_NE(result.error.find(message), std::string::npos) << result.error;
+  const auto run =
+      st::testing::makeRun(rejoinConfig(), exp::SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  std::string error;
+  EXPECT_FALSE(restoreBytes(*run, file, &error));
+  EXPECT_NE(error.find(message), std::string::npos) << error;
 }
 
 }  // namespace snapshot_fuzz

@@ -53,6 +53,9 @@ class RecordingClient : public vod::VodSystem {
   void onLogout(UserId, bool) override {}
   void requestVideo(UserId, VideoId) override {}
   [[nodiscard]] NodeStats nodeStats(UserId) const override { return {}; }
+  // Records outcomes only; it has no protocol state to checkpoint.
+  void saveState(snapshot::Writer&) const override {}
+  [[nodiscard]] bool loadState(snapshot::Reader&) override { return true; }
 
   void watchPlaybackReady(UserId user, VideoId video, sim::SimTime delay,
                           bool timedOut) override {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -285,6 +286,36 @@ TEST(Network, LossyModelDropsSomeMessages) {
   for (std::uint64_t id = 0; id < kMessages; ++id) {
     EXPECT_EQ(seen[id], 1) << "message " << id;
   }
+}
+
+// A gray-failure factor that overflows SimTime, and extra delays whose sum
+// does: the delivery saturates at MessageFaultHook::kMaxDelay instead of
+// wrapping into the past.
+class SaturatingHook final : public MessageFaultHook {
+ public:
+  Decision onMessage(EndpointId, EndpointId) override {
+    Decision decision;
+    decision.delayFactor = 1e300;
+    for (int i = 0; i < 3; ++i) {
+      decision.addDelay(std::numeric_limits<sim::SimTime>::max() / 2);
+    }
+    return decision;
+  }
+};
+
+TEST(Network, OverflowingFaultDelaySaturates) {
+  sim::Simulator sim;
+  Network network(sim, std::make_unique<CleanLatencyModel>(3, 1, 2), 3);
+  network.addEndpoint(kA, {1e6, 1e6});
+  network.addEndpoint(kB, {1e6, 1e6});
+  SaturatingHook hook;
+  network.setFaultHook(&hook);
+  MessageProbe probe(sim);
+  sim.runUntil(sim::kHour);
+  ASSERT_TRUE(network.sendMessage(kA, kB, MessageProbe::message(1)));
+  sim.run();
+  ASSERT_EQ(probe.delivered.size(), 1u);
+  EXPECT_EQ(probe.delivered[0].at, sim::kHour + MessageFaultHook::kMaxDelay);
 }
 
 }  // namespace

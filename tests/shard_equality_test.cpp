@@ -50,28 +50,6 @@ exp::ExperimentResult runAtShards(exp::ExperimentConfig config,
   return exp::runExperiment(config, system);
 }
 
-void expectIdenticalResults(const exp::ExperimentResult& a,
-                            const exp::ExperimentResult& b) {
-  EXPECT_TRUE(a.counters == b.counters);
-  if (!(a.counters == b.counters)) {
-    for (const auto& entry : a.counters.entries()) {
-      if (!b.counters.has(entry.name) ||
-          b.counters.at(entry.name) != entry.value) {
-        ADD_FAILURE() << "counter " << entry.name << " diverges";
-      }
-    }
-  }
-  EXPECT_EQ(a.overlayFingerprint, b.overlayFingerprint);
-  ASSERT_EQ(a.startupDelayMs.count(), b.startupDelayMs.count());
-  EXPECT_EQ(a.startupDelayMs.mean(), b.startupDelayMs.mean());
-  ASSERT_EQ(a.normalizedPeerBandwidth.count(),
-            b.normalizedPeerBandwidth.count());
-  EXPECT_EQ(a.normalizedPeerBandwidth.mean(),
-            b.normalizedPeerBandwidth.mean());
-  EXPECT_EQ(a.uploadGini, b.uploadGini);
-  EXPECT_EQ(a.crossBelowFloor, b.crossBelowFloor);
-}
-
 class ShardEquality : public ::testing::TestWithParam<exp::SystemKind> {};
 
 TEST_P(ShardEquality, CalmRunMatchesSequential) {
@@ -81,10 +59,10 @@ TEST_P(ShardEquality, CalmRunMatchesSequential) {
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
   // Sharded runs must agree with each other at every count...
-  expectIdenticalResults(one, eight);
+  st::testing::expectSameOutcome(one, eight);
   // ...and, at this small scale, with the unsharded run (see the header:
   // not a general property).
-  expectIdenticalResults(sequential, one);
+  st::testing::expectSameOutcome(sequential, one);
   EXPECT_GT(eight.watches(), 0u);
 }
 
@@ -94,7 +72,7 @@ TEST_P(ShardEquality, FaultyRunMatchesSequential) {
   config.faults.auditInterval = 15 * sim::kMinute;
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
-  expectIdenticalResults(one, eight);
+  st::testing::expectSameOutcome(one, eight);
   EXPECT_GT(one.counter("fault.events"), 0u);
 }
 
@@ -117,8 +95,8 @@ TEST_P(ShardEquality, GrayDeliveryRejoinRunMatchesSequential) {
       exp::runExperiment(config, GetParam());  // unsharded
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
-  expectIdenticalResults(one, eight);
-  expectIdenticalResults(sequential, one);
+  st::testing::expectSameOutcome(one, eight);
+  st::testing::expectSameOutcome(sequential, one);
   EXPECT_EQ(one.counter("fault.events"), 6u);
   EXPECT_GT(one.counter("fault.dup_messages"), 0u);
   EXPECT_GT(one.counter("fault.rejoins"), 0u);
@@ -139,12 +117,12 @@ TEST_P(ShardEquality, OverloadedRunMatchesSequential) {
   config.vod.serverUploadBps = 600'000.0;
   const exp::ExperimentResult one = runAtShards(config, GetParam(), 1);
   const exp::ExperimentResult eight = runAtShards(config, GetParam(), 8);
-  expectIdenticalResults(one, eight);
+  st::testing::expectSameOutcome(one, eight);
 }
 
 TEST_P(ShardEquality, FourShardsAgreeToo) {
   const exp::ExperimentConfig config = shardConfig(19);
-  expectIdenticalResults(runAtShards(config, GetParam(), 2),
+  st::testing::expectSameOutcome(runAtShards(config, GetParam(), 2),
                          runAtShards(config, GetParam(), 4));
 }
 
@@ -152,16 +130,7 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, ShardEquality,
                          ::testing::Values(exp::SystemKind::kSocialTube,
                                            exp::SystemKind::kNetTube,
                                            exp::SystemKind::kPaVod),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case exp::SystemKind::kSocialTube:
-                               return "SocialTube";
-                             case exp::SystemKind::kNetTube:
-                               return "NetTube";
-                             default:
-                               return "PaVod";
-                           }
-                         });
+                         st::testing::systemParamName);
 
 // --- snapshot portability across shard counts ---------------------------------
 
@@ -170,45 +139,34 @@ TEST(ShardSnapshotPortability, SavedAtEightRestoresAtOneBitwise) {
   const std::string path = st::testing::snapshotPath("shards8");
 
   // Arm 1: --shards 8, snapshot mid-run, keep going (the baseline).
-  exp::ExperimentConfig warm = config;
-  warm.shards.count = 8;
-  warm.snapshot.out = path;
-  warm.snapshot.at = sim::kHour;
-  const exp::ExperimentResult baseline =
-      exp::runExperiment(warm, exp::SystemKind::kSocialTube);
+  config.shards.count = 8;
+  const exp::ExperimentResult baseline = st::testing::runSaving(
+      config, exp::SystemKind::kSocialTube, path, sim::kHour);
 
   // Arm 2: restore that file at --shards 1 and run to the horizon. The
   // SSIM queue section is shard-count-independent, so the restored run
   // must finish bitwise-identical to the 8-shard baseline.
-  exp::ExperimentConfig resumed = config;
-  resumed.shards.count = 1;
-  resumed.snapshot.in = path;
-  const exp::ExperimentResult restored =
-      exp::runExperiment(resumed, exp::SystemKind::kSocialTube);
+  config.shards.count = 1;
+  const exp::ExperimentResult restored = st::testing::runRestoring(
+      config, exp::SystemKind::kSocialTube, path);
   std::remove(path.c_str());
 
-  expectIdenticalResults(baseline, restored);
+  st::testing::expectSameOutcome(baseline, restored);
 }
 
 TEST(ShardSnapshotPortability, SavedAtOneRestoresAtEightBitwise) {
   exp::ExperimentConfig config = shardConfig(29);
   const std::string path = st::testing::snapshotPath("shards1");
 
-  exp::ExperimentConfig warm = config;
-  warm.shards.count = 1;
-  warm.snapshot.out = path;
-  warm.snapshot.at = sim::kHour;
-  const exp::ExperimentResult baseline =
-      exp::runExperiment(warm, exp::SystemKind::kNetTube);
-
-  exp::ExperimentConfig resumed = config;
-  resumed.shards.count = 8;
-  resumed.snapshot.in = path;
-  const exp::ExperimentResult restored =
-      exp::runExperiment(resumed, exp::SystemKind::kNetTube);
+  config.shards.count = 1;
+  const exp::ExperimentResult baseline = st::testing::runSaving(
+      config, exp::SystemKind::kNetTube, path, sim::kHour);
+  config.shards.count = 8;
+  const exp::ExperimentResult restored = st::testing::runRestoring(
+      config, exp::SystemKind::kNetTube, path);
   std::remove(path.c_str());
 
-  expectIdenticalResults(baseline, restored);
+  st::testing::expectSameOutcome(baseline, restored);
 }
 
 // The sharded differential harness: snapshot/restore at the same shard

@@ -15,18 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/config.h"
+#include "exp/run.h"
 #include "exp/runner.h"
-#include "net/latency.h"
 #include "obs/event_trace.h"
-#include "snapshot/snapshot.h"
-#include "trace/generator.h"
+#include "trace/catalog.h"
 
 namespace st::testing {
 
@@ -45,6 +44,26 @@ inline std::string snapshotPath(const std::string& tag) {
   return ::testing::TempDir() + name;
 }
 
+// `config` run to the horizon with --snapshot-out `path` armed at `at`.
+inline exp::ExperimentResult runSaving(exp::ExperimentConfig config,
+                                       exp::SystemKind system,
+                                       const std::string& path,
+                                       sim::SimTime at,
+                                       obs::EventTrace* trace = nullptr) {
+  config.snapshot.out = path;
+  config.snapshot.at = at;
+  return exp::runExperiment(config, system, nullptr, trace);
+}
+
+// `config` restored from --snapshot-in `path` and run to the horizon.
+inline exp::ExperimentResult runRestoring(exp::ExperimentConfig config,
+                                          exp::SystemKind system,
+                                          const std::string& path,
+                                          obs::EventTrace* trace = nullptr) {
+  config.snapshot.in = path;
+  return exp::runExperiment(config, system, nullptr, trace);
+}
+
 // Two complete runs of `config`: one straight through, one restored from
 // the snapshot the first arm wrote at `saveAt`. Results land in `baseline`
 // and `restored` for the caller's assertions (use expectBitwiseEqual for
@@ -56,41 +75,53 @@ struct DifferentialRun {
   std::vector<obs::TraceEvent> restoredTrace;
 };
 
-inline DifferentialRun runDifferential(exp::ExperimentConfig config,
+inline DifferentialRun runDifferential(const exp::ExperimentConfig& config,
                                        exp::SystemKind system,
-                                       sim::SimTime saveAt,
-                                       const trace::Catalog* catalog = nullptr,
-                                       bool withTrace = true) {
+                                       sim::SimTime saveAt) {
   const std::string path = snapshotPath(exp::systemName(system));
   DifferentialRun out;
-
+  obs::EventTrace baselineTrace;
+  obs::EventTrace restoredTrace;
   // Arm 1: uninterrupted, but with the save event armed (see header note).
-  exp::ExperimentConfig warm = config;
-  warm.snapshot.out = path;
-  warm.snapshot.at = saveAt;
-  warm.snapshot.in.clear();
-  if (withTrace) {
-    obs::EventTrace trace;
-    out.baseline = exp::runExperiment(warm, system, catalog, &trace);
-    out.baselineTrace = trace.events();
-  } else {
-    out.baseline = exp::runExperiment(warm, system, catalog);
-  }
-
+  out.baseline = runSaving(config, system, path, saveAt, &baselineTrace);
   // Arm 2: restore the file arm 1 wrote at T and run to the horizon.
-  exp::ExperimentConfig resumed = config;
-  resumed.snapshot.in = path;
-  resumed.snapshot.out.clear();
-  if (withTrace) {
-    obs::EventTrace trace;
-    out.restored = exp::runExperiment(resumed, system, catalog, &trace);
-    out.restoredTrace = trace.events();
-  } else {
-    out.restored = exp::runExperiment(resumed, system, catalog);
-  }
-
+  out.restored = runRestoring(config, system, path, &restoredTrace);
+  out.baselineTrace = baselineTrace.events();
+  out.restoredTrace = restoredTrace.events();
   std::remove(path.c_str());
   return out;
+}
+
+// The outcome two runs of one workload must share to the bit: every
+// counter and gauge by name, the final overlay state, the startup-delay and
+// peer-bandwidth series, the upload Gini and the below-floor posts.
+inline void expectSameOutcome(const exp::ExperimentResult& a,
+                              const exp::ExperimentResult& b) {
+  EXPECT_TRUE(a.counters == b.counters);
+  if (!(a.counters == b.counters)) {
+    // Name the drifting counters — "24-byte object" diffs are useless.
+    for (const auto& entry : a.counters.entries()) {
+      if (!b.counters.has(entry.name) ||
+          b.counters.at(entry.name) != entry.value) {
+        ADD_FAILURE() << "counter " << entry.name << ": " << entry.value
+                      << " vs " << b.counters.at(entry.name);
+      }
+    }
+    for (const auto& entry : b.counters.entries()) {
+      if (!a.counters.has(entry.name)) {
+        ADD_FAILURE() << "counter " << entry.name << " only in the second run";
+      }
+    }
+  }
+  EXPECT_EQ(a.overlayFingerprint, b.overlayFingerprint);
+  ASSERT_EQ(a.startupDelayMs.count(), b.startupDelayMs.count());
+  EXPECT_EQ(a.startupDelayMs.mean(), b.startupDelayMs.mean());
+  ASSERT_EQ(a.normalizedPeerBandwidth.count(),
+            b.normalizedPeerBandwidth.count());
+  EXPECT_EQ(a.normalizedPeerBandwidth.mean(),
+            b.normalizedPeerBandwidth.mean());
+  EXPECT_EQ(a.uploadGini, b.uploadGini);
+  EXPECT_EQ(a.crossBelowFloor, b.crossBelowFloor);
 }
 
 // The full bitwise-equality contract between the two arms. EXPECT_EQ on
@@ -98,33 +129,11 @@ inline DifferentialRun runDifferential(exp::ExperimentConfig config,
 inline void expectBitwiseEqual(const DifferentialRun& run) {
   const exp::ExperimentResult& a = run.baseline;
   const exp::ExperimentResult& b = run.restored;
-
-  // Every registered counter and gauge, by name, to the bit.
-  EXPECT_TRUE(a.counters == b.counters);
-  if (!(a.counters == b.counters)) {
-    // Name the first drifting counter — "24-byte object" diffs are useless.
-    for (const auto& entry : a.counters.entries()) {
-      if (b.counters.at(entry.name) != entry.value) {
-        ADD_FAILURE() << "counter " << entry.name << ": baseline "
-                      << entry.value << " vs restored "
-                      << b.counters.at(entry.name);
-      }
-    }
-    for (const auto& entry : b.counters.entries()) {
-      if (!a.counters.has(entry.name)) {
-        ADD_FAILURE() << "counter " << entry.name << " only in restored run";
-      }
-    }
-  }
+  expectSameOutcome(a, b);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // Derived metric series. Sample buffers must match in content AND order
   // (mean() sums in buffer order; its low bits depend on it).
-  ASSERT_EQ(a.startupDelayMs.count(), b.startupDelayMs.count());
-  EXPECT_EQ(a.startupDelayMs.mean(), b.startupDelayMs.mean());
-  ASSERT_EQ(a.normalizedPeerBandwidth.count(),
-            b.normalizedPeerBandwidth.count());
-  EXPECT_EQ(a.normalizedPeerBandwidth.mean(),
-            b.normalizedPeerBandwidth.mean());
   {
     const auto sa = a.startupDelayMs.samples();
     const auto sb = b.startupDelayMs.samples();
@@ -143,10 +152,6 @@ inline void expectBitwiseEqual(const DifferentialRun& run) {
   EXPECT_EQ(a.redundantLinks.mean(), b.redundantLinks.mean());
   EXPECT_EQ(a.serverRegistrations.count(), b.serverRegistrations.count());
   EXPECT_EQ(a.serverRegistrations.mean(), b.serverRegistrations.mean());
-  EXPECT_EQ(a.uploadGini, b.uploadGini);
-
-  // Final overlay state, to the bit.
-  EXPECT_EQ(a.overlayFingerprint, b.overlayFingerprint);
 
   // The event-trace streams: identical length, identical records — the
   // restored ring kept pre-snapshot events and the resumed run appended the
@@ -163,126 +168,54 @@ inline void expectBitwiseEqual(const DifferentialRun& run) {
   }
 }
 
-// Mirrors runExperiment's construction — same component order, hence the
-// same counter-registration order — for a *calm* config (no faults, audit,
-// or trace sink), so tests can drive snapshot::restore / snapshot::save
-// directly and inspect their error strings (runExperiment returns only
-// the message). Used by the resave-byte-identity test and the
-// snapshot-corruption fuzzer, which also starts fresh runs on it
-// (driver().start()) to snapshot them at a chosen event.
-class RestoreStack {
- public:
-  RestoreStack(const exp::ExperimentConfig& config, exp::SystemKind kind)
-      : catalog_(trace::generateTrace(config.trace)),
-        network_(sim_,
-                 std::make_unique<net::CleanLatencyModel>(
-                     config.seed, 10 * sim::kMillisecond,
-                     80 * sim::kMillisecond),
-                 config.seed),
-        library_(catalog_, config.vod),
-        metrics_(catalog_.userCount(), config.vod.videosPerSession),
-        hook_(sim_, network_, metrics_.registry()),
-        ctx_(sim_, network_, catalog_, library_, config.vod, metrics_,
-             config.seed),
-        transfers_(ctx_),
-        system_(makeSystem(kind)),
-        selector_(catalog_, config.vod, config.seed),
-        driver_(ctx_, *system_, transfers_, selector_, config.seed),
-        releases_(ctx_, selector_, config.releases.feedWatchProbability,
-                  config.seed),
-        kind_(kind),
-        compat_{config.seed, catalog_.userCount(), catalog_.videoCount()} {
-    selector_.attachContext(ctx_);
-    sim_.registerFactory(sim::Component::kRunner, &runnerStub_);
+// Names a per-system test parameter.
+inline std::string systemParamName(
+    const ::testing::TestParamInfo<exp::SystemKind>& info) {
+  switch (info.param) {
+    case exp::SystemKind::kSocialTube: return "SocialTube";
+    case exp::SystemKind::kNetTube: return "NetTube";
+    case exp::SystemKind::kPaVod: return "PaVod";
   }
-  ~RestoreStack() {
-    if (sim_.factory(sim::Component::kRunner) == &runnerStub_) {
-      sim_.registerFactory(sim::Component::kRunner, nullptr);
-    }
-  }
-  RestoreStack(const RestoreStack&) = delete;
-  RestoreStack& operator=(const RestoreStack&) = delete;
+  return "unknown";
+}
 
-  [[nodiscard]] snapshot::Participants participants() {
-    snapshot::Participants p;
-    p.sim = &sim_;
-    p.network = &network_;
-    p.ctx = &ctx_;
-    p.metrics = &metrics_;
-    p.transfers = &transfers_;
-    switch (kind_) {
-      case exp::SystemKind::kSocialTube:
-        p.socialTube = static_cast<core::SocialTubeSystem*>(system_.get());
-        break;
-      case exp::SystemKind::kNetTube:
-        p.netTube = static_cast<baselines::NetTubeSystem*>(system_.get());
-        break;
-      case exp::SystemKind::kPaVod:
-        p.paVod = static_cast<baselines::PaVodSystem*>(system_.get());
-        break;
-    }
-    p.driver = &driver_;
-    p.selector = &selector_;
-    p.releases = &releases_;
-    p.serverSample = &serverSample_;
-    return p;
-  }
-  [[nodiscard]] const snapshot::Compat& compat() const { return compat_; }
-  [[nodiscard]] sim::Simulator& sim() { return sim_; }
-  [[nodiscard]] vod::SessionDriver& driver() { return driver_; }
-  [[nodiscard]] const trace::Catalog& catalog() const { return catalog_; }
+// A freshly built, not yet started run of `config` for tests that drive
+// Run::start / Run::restore and snapshot::save directly (runExperiment
+// returns only the error message). A null `catalog` generates one from
+// config.trace. Null, with a test failure, if the config is rejected.
+inline std::unique_ptr<exp::Run> makeRun(
+    const exp::ExperimentConfig& config, exp::SystemKind system,
+    const trace::Catalog* catalog = nullptr) {
+  std::string error;
+  std::unique_ptr<exp::Run> run =
+      exp::Run::create(config, system, catalog, nullptr, &error);
+  if (run == nullptr) ADD_FAILURE() << error;
+  return run;
+}
 
- private:
-  // Stands in for the runner's ServerSampler: rebuilds its pending sample
-  // event as a no-op (the queue stores tags, so resaving is unaffected).
-  class RunnerStub final : public sim::EventFactory {
-   public:
-    [[nodiscard]] sim::Callback rebuild(const sim::EventTag&) override {
-      return [] {};
-    }
-  };
+// The bytes of the file at `path`; empty, with a test failure, when it
+// cannot be read.
+inline std::vector<std::uint8_t> fileBytes(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  if (!snapshot::Reader::readFile(path, &bytes, &error)) ADD_FAILURE() << error;
+  return bytes;
+}
 
-  // runExperiment registers the sim and network counters between the
-  // Metrics construction and the SystemContext construction; this member
-  // sits at the same position so registration order matches exactly
-  // (Registry::visitCounters serializes in registration order).
-  struct RegisterHook {
-    RegisterHook(sim::Simulator& sim, net::Network& network,
-                 obs::Registry& registry) {
-      sim.registerInto(registry);
-      network.registerInto(registry);
-    }
-  };
-
-  [[nodiscard]] std::unique_ptr<vod::VodSystem> makeSystem(
-      exp::SystemKind kind) {
-    switch (kind) {
-      case exp::SystemKind::kSocialTube:
-        return std::make_unique<core::SocialTubeSystem>(ctx_, transfers_);
-      case exp::SystemKind::kNetTube:
-        return std::make_unique<baselines::NetTubeSystem>(ctx_, transfers_);
-      case exp::SystemKind::kPaVod:
-        return std::make_unique<baselines::PaVodSystem>(ctx_, transfers_);
-    }
-    return nullptr;
-  }
-
-  trace::Catalog catalog_;
-  sim::Simulator sim_;
-  net::Network network_;
-  vod::VideoLibrary library_;
-  vod::Metrics metrics_;
-  RegisterHook hook_;
-  vod::SystemContext ctx_;
-  vod::TransferManager transfers_;
-  std::unique_ptr<vod::VodSystem> system_;
-  vod::VideoSelector selector_;
-  vod::SessionDriver driver_;
-  vod::ReleaseManager releases_;
-  RunnerStub runnerStub_;
-  RunningStats serverSample_;
-  exp::SystemKind kind_;
-  snapshot::Compat compat_;
-};
+// Restores `path` into the fresh `run` and saves it straight back: the
+// resave must reproduce the file byte for byte.
+inline void expectResaveIdentical(exp::Run& run, const std::string& path) {
+  const std::string resaved = path + ".resaved";
+  std::string error;
+  ASSERT_TRUE(run.restore(path, &error)) << error;
+  ASSERT_TRUE(
+      snapshot::save(resaved, run.participants(), run.compat(), &error))
+      << error;
+  const std::vector<std::uint8_t> original = fileBytes(path);
+  const std::vector<std::uint8_t> again = fileBytes(resaved);
+  EXPECT_TRUE(original == again) << "resave differs (" << original.size()
+                                 << " vs " << again.size() << " bytes)";
+  std::remove(resaved.c_str());
+}
 
 }  // namespace st::testing

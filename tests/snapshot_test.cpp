@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "snapshot_harness.h"
+#include "trace/generator.h"
 #include "util/thread_pool.h"
 
 #ifndef ST_TEST_DATA_DIR
@@ -29,10 +31,16 @@ namespace st::exp {
 namespace {
 
 using st::testing::DifferentialRun;
-using st::testing::RestoreStack;
 using st::testing::expectBitwiseEqual;
+using st::testing::expectResaveIdentical;
+using st::testing::expectSameOutcome;
+using st::testing::fileBytes;
+using st::testing::makeRun;
 using st::testing::runDifferential;
+using st::testing::runRestoring;
+using st::testing::runSaving;
 using st::testing::snapshotPath;
+using st::testing::systemParamName;
 
 ExperimentConfig smallConfig(std::uint64_t seed) {
   ExperimentConfig config = ExperimentConfig::simulationDefaults(seed);
@@ -57,14 +65,7 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SnapshotDifferential,
                          ::testing::Values(SystemKind::kSocialTube,
                                            SystemKind::kNetTube,
                                            SystemKind::kPaVod),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case SystemKind::kSocialTube: return "SocialTube";
-                             case SystemKind::kNetTube: return "NetTube";
-                             case SystemKind::kPaVod: return "PaVod";
-                           }
-                           return "unknown";
-                         });
+                         systemParamName);
 
 // --- Differential fidelity: snapshot taken mid-fault-schedule -----------------
 
@@ -115,17 +116,15 @@ TEST(SnapshotMultiSeed, ParallelRestoresAreBitwiseEqual) {
   std::vector<std::string> paths(kCount);
   std::vector<ExperimentResult> baseline(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
-    ExperimentConfig warm = smallConfig(kSeeds[i]);
+    const ExperimentConfig config = smallConfig(kSeeds[i]);
     paths[i] = snapshotPath("seed" + std::to_string(kSeeds[i]));
-    warm.snapshot.out = paths[i];
-    warm.snapshot.at = warm.duration / 2;
-    baseline[i] = runExperiment(warm, SystemKind::kSocialTube);
+    baseline[i] = runSaving(config, SystemKind::kSocialTube, paths[i],
+                            config.duration / 2);
   }
 
   const auto restored = [&](std::size_t i) {
-    ExperimentConfig resumed = smallConfig(kSeeds[i]);
-    resumed.snapshot.in = paths[i];
-    return runExperiment(resumed, SystemKind::kSocialTube);
+    return runRestoring(smallConfig(kSeeds[i]), SystemKind::kSocialTube,
+                        paths[i]);
   };
   std::vector<ExperimentResult> sequential(kCount);
   for (std::size_t i = 0; i < kCount; ++i) sequential[i] = restored(i);
@@ -136,21 +135,11 @@ TEST(SnapshotMultiSeed, ParallelRestoresAreBitwiseEqual) {
   }
 
   for (std::size_t i = 0; i < kCount; ++i) {
-    // Restored twins agree with each other across thread counts...
-    EXPECT_TRUE(sequential[i].counters == parallel[i].counters)
-        << "seed " << kSeeds[i];
-    EXPECT_EQ(sequential[i].overlayFingerprint, parallel[i].overlayFingerprint)
-        << "seed " << kSeeds[i];
-    EXPECT_EQ(sequential[i].startupDelayMs.mean(),
-              parallel[i].startupDelayMs.mean())
-        << "seed " << kSeeds[i];
-    // ...and with the run that never stopped.
-    EXPECT_TRUE(sequential[i].counters == baseline[i].counters)
-        << "seed " << kSeeds[i];
-    EXPECT_EQ(sequential[i].overlayFingerprint, baseline[i].overlayFingerprint)
-        << "seed " << kSeeds[i];
-    EXPECT_EQ(sequential[i].uploadGini, baseline[i].uploadGini)
-        << "seed " << kSeeds[i];
+    SCOPED_TRACE("seed " + std::to_string(kSeeds[i]));
+    // Restored twins agree with each other across thread counts, and with
+    // the run that never stopped.
+    expectSameOutcome(sequential[i], parallel[i]);
+    expectSameOutcome(sequential[i], baseline[i]);
     std::remove(paths[i].c_str());
   }
 }
@@ -163,20 +152,16 @@ TEST(SnapshotMultiSeed, ParallelRestoresAreBitwiseEqual) {
 TEST(SnapshotFork, CalmSnapshotForksIntoFaultedScenario) {
   ExperimentConfig config = smallConfig(29);
   const std::string path = snapshotPath("warm");
-  {
-    ExperimentConfig warm = config;
-    warm.snapshot.out = path;
-    warm.snapshot.at = config.duration / 2;
-    const ExperimentResult result =
-        runExperiment(warm, SystemKind::kSocialTube);
-    EXPECT_GT(result.watches(), 0u);
-  }
+  EXPECT_GT(runSaving(config, SystemKind::kSocialTube, path,
+                      config.duration / 2)
+                .watches(),
+            0u);
   ExperimentConfig forked = config;
-  forked.snapshot.in = path;
   // All fault times lie after the snapshot point (duration/2 = 10800 s).
   forked.faults.spec = "crash:t=12000,frac=0.2;outage:t=15000,dur=300";
   forked.faults.auditInterval = 10 * sim::kMinute;
-  const ExperimentResult result = runExperiment(forked, SystemKind::kSocialTube);
+  const ExperimentResult result =
+      runRestoring(forked, SystemKind::kSocialTube, path);
   EXPECT_EQ(result.counter("fault.events"), 2u);
   EXPECT_GT(result.counter("fault.crashes"), 0u);
   EXPECT_EQ(result.counter("invariant.violations"), 0u);
@@ -189,32 +174,76 @@ TEST(SnapshotFork, CalmSnapshotForksIntoFaultedScenario) {
 TEST(SnapshotRoundTrip, ResaveIsByteIdentical) {
   const ExperimentConfig config = smallConfig(31);
   const std::string first = snapshotPath("first");
-  const std::string second = snapshotPath("second");
-  {
-    ExperimentConfig warm = config;
-    warm.snapshot.out = first;
-    warm.snapshot.at = config.duration / 2;
-    runExperiment(warm, SystemKind::kSocialTube);
+  runSaving(config, SystemKind::kSocialTube, first, config.duration / 2);
+
+  const auto run = makeRun(config, SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  expectResaveIdentical(*run, first);
+  std::remove(first.c_str());
+}
+
+// --- Every machinery pending at once -----------------------------------------
+
+// Crash/rejoin recovery, slow and flap windows, invariant audits, a release
+// plan, the overload ladder and an armed --snapshot-out save, all live in
+// one run. The save is a tagged event, so a direct save at any event
+// boundary before the save time succeeds (it carries the pending save),
+// and each file restores into a fresh Run and resaves to the same bytes.
+// The last restored run then finishes exactly like the one that never
+// stopped.
+class SnapshotFullMachinery : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(SnapshotFullMachinery, SaveAtAnyEventBoundaryRoundTrips) {
+  ExperimentConfig config = smallConfig(43);
+  config.faults.spec =
+      "crash:t=1800,frac=0.2;rejoin:t=1805,frac=1;"
+      "slow:t=2400,dur=3600,frac=0.3,factor=4;"
+      "flap:t=3000,dur=3600,frac=0.2,factor=3,period=120";
+  config.faults.auditInterval = 10 * sim::kMinute;
+  std::string error;
+  ASSERT_TRUE(vod::OverloadConfig::parse("on", &config.vod.overload, &error))
+      << error;
+  config.releases.perChannel = 1;
+  config.snapshot.out = snapshotPath("armed");
+  config.snapshot.at = 5 * sim::kHour;
+  const trace::Catalog catalog = trace::generateTrace(config.trace);
+  const auto run = makeRun(config, GetParam(), &catalog);
+  ASSERT_TRUE(run);
+  run->start();
+  sim::Simulator& simulator = run->simulator();
+  const std::string path = snapshotPath("boundary");
+  std::unique_ptr<exp::Run> restored;
+  // Releases pending; crash victims offline; recovery rounds pending; slow
+  // and flap windows active; both windows closed.
+  for (const double seconds : {900.0, 1803.0, 1900.0, 3200.0, 6500.0}) {
+    simulator.runUntil(sim::fromSeconds(seconds));
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(simulator.step());
+    SCOPED_TRACE("save at t=" + std::to_string(simulator.now()));
+    ASSERT_TRUE(
+        snapshot::save(path, run->participants(), run->compat(), &error))
+        << error;
+    restored = makeRun(config, GetParam(), &catalog);
+    ASSERT_TRUE(restored);
+    expectResaveIdentical(*restored, path);
+    ASSERT_FALSE(HasFatalFailure());
   }
 
-  RestoreStack stack(config, SystemKind::kSocialTube);
-  const snapshot::Participants participants = stack.participants();
-  std::string error;
-  ASSERT_TRUE(
-      snapshot::restore(first, participants, stack.compat(), &error))
-      << error;
-  ASSERT_TRUE(snapshot::save(second, participants, stack.compat(), &error))
-      << error;
-
-  std::vector<std::uint8_t> a;
-  std::vector<std::uint8_t> b;
-  ASSERT_TRUE(snapshot::Reader::readFile(first, &a, &error)) << error;
-  ASSERT_TRUE(snapshot::Reader::readFile(second, &b, &error)) << error;
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_TRUE(a == b) << "resaved snapshot differs from the original";
-  std::remove(first.c_str());
-  std::remove(second.c_str());
+  ASSERT_TRUE(run->runToHorizon(&error)) << error;
+  ASSERT_TRUE(restored->runToHorizon(&error)) << error;
+  const ExperimentResult original = run->extract();
+  EXPECT_GT(original.counter("fault.crashes"), 0u);
+  EXPECT_GT(original.releasesFired(), 0u);
+  EXPECT_EQ(original.counter("invariant.violations"), 0u);
+  expectSameOutcome(original, restored->extract());
+  std::remove(path.c_str());
+  std::remove(config.snapshot.out.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, SnapshotFullMachinery,
+                         ::testing::Values(SystemKind::kSocialTube,
+                                           SystemKind::kNetTube,
+                                           SystemKind::kPaVod),
+                         systemParamName);
 
 // --- Restore refuses mismatched environments ----------------------------------
 
@@ -223,69 +252,59 @@ class SnapshotMismatch : public ::testing::Test {
   // One calm SocialTube snapshot shared by the refusal cases.
   static std::string makeSnapshot(const ExperimentConfig& config) {
     const std::string path = snapshotPath("donor");
-    ExperimentConfig warm = config;
-    warm.snapshot.out = path;
-    warm.snapshot.at = config.duration / 2;
-    runExperiment(warm, SystemKind::kSocialTube);
+    runSaving(config, SystemKind::kSocialTube, path, config.duration / 2);
     return path;
+  }
+  // Restores `path` into a fresh run of `config`, which must refuse it, and
+  // returns the message; the file is removed.
+  static std::string refusal(const std::string& path,
+                             const ExperimentConfig& config,
+                             SystemKind system) {
+    const auto run = makeRun(config, system);
+    std::string error = "no run";
+    if (run != nullptr) {
+      EXPECT_FALSE(run->restore(path, &error));
+    }
+    std::remove(path.c_str());
+    return error;
   }
 };
 
 TEST_F(SnapshotMismatch, RefusesDifferentSeed) {
   const ExperimentConfig config = smallConfig(37);
-  const std::string path = makeSnapshot(config);
   ExperimentConfig other = smallConfig(38);
   other.trace.seed = config.trace.seed;  // same workload shape, wrong seed
-  RestoreStack stack(other, SystemKind::kSocialTube);
-  std::string error;
-  EXPECT_FALSE(
-      snapshot::restore(path, stack.participants(), stack.compat(), &error));
+  const std::string error =
+      refusal(makeSnapshot(config), other, SystemKind::kSocialTube);
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
-  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotMismatch, RefusesDifferentSystem) {
   const ExperimentConfig config = smallConfig(37);
-  const std::string path = makeSnapshot(config);
-  RestoreStack stack(config, SystemKind::kNetTube);
-  std::string error;
-  EXPECT_FALSE(
-      snapshot::restore(path, stack.participants(), stack.compat(), &error));
+  const std::string error =
+      refusal(makeSnapshot(config), config, SystemKind::kNetTube);
   EXPECT_NE(error.find("SocialTube"), std::string::npos) << error;
-  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotMismatch, RefusesDroppingTheFaultSchedule) {
   ExperimentConfig config = smallConfig(37);
   config.faults.spec = "crash:t=3000,frac=0.1";
-  const std::string path = makeSnapshot(config);
   // Restoring calm: the snapshot carries injector state and pending fault
   // events whose factory would be missing.
-  ExperimentConfig calm = smallConfig(37);
-  RestoreStack stack(calm, SystemKind::kSocialTube);
-  std::string error;
-  EXPECT_FALSE(
-      snapshot::restore(path, stack.participants(), stack.compat(), &error));
+  const std::string error = refusal(makeSnapshot(config), smallConfig(37),
+                                    SystemKind::kSocialTube);
   EXPECT_NE(error.find("--faults"), std::string::npos) << error;
-  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotMismatch, RefusesDroppingTheTraceSink) {
   const ExperimentConfig config = smallConfig(37);
   const std::string path = snapshotPath("traced");
-  {
-    ExperimentConfig warm = config;
-    warm.snapshot.out = path;
-    warm.snapshot.at = config.duration / 2;
-    obs::EventTrace trace;
-    runExperiment(warm, SystemKind::kSocialTube, nullptr, &trace);
-  }
-  RestoreStack stack(config, SystemKind::kSocialTube);  // no trace sink
-  std::string error;
-  EXPECT_FALSE(
-      snapshot::restore(path, stack.participants(), stack.compat(), &error));
+  obs::EventTrace trace;
+  runSaving(config, SystemKind::kSocialTube, path, config.duration / 2,
+            &trace);
+  // A fresh run has no trace sink.
+  const std::string error = refusal(path, config, SystemKind::kSocialTube);
   EXPECT_NE(error.find("trace"), std::string::npos) << error;
-  std::remove(path.c_str());
 }
 
 // --- File errors end the run, not the process ---------------------------------
@@ -347,72 +366,46 @@ TEST(GoldenSnapshot, CurrentVersionFileStillRestores) {
   const sim::SimTime saveAt = sim::kHour;
 
   if (std::getenv("ST_REGEN_GOLDEN") != nullptr) {
-    ExperimentConfig warm = config;
-    warm.snapshot.out = path;
-    warm.snapshot.at = saveAt;
-    runExperiment(warm, SystemKind::kSocialTube);
+    runSaving(config, SystemKind::kSocialTube, path, saveAt);
     GTEST_SKIP() << "regenerated " << path;
   }
 
   // Header sanity: the file on disk is the version this build reads.
   {
-    std::vector<std::uint8_t> bytes;
-    std::string error;
-    ASSERT_TRUE(snapshot::Reader::readFile(path, &bytes, &error)) << error;
-    snapshot::Reader reader(std::move(bytes));
+    snapshot::Reader reader(fileBytes(path));
     ASSERT_TRUE(reader.ok()) << reader.error();
     EXPECT_EQ(reader.version(), snapshot::kFormatVersion);
   }
 
   // The committed file still restores and finishes identical to today's
   // uninterrupted run (same save event armed; see snapshot_harness.h).
-  ExperimentConfig warm = config;
-  warm.snapshot.out = snapshotPath("golden_rewrite");
-  warm.snapshot.at = saveAt;
+  const std::string rewrite = snapshotPath("golden_rewrite");
   const ExperimentResult baseline =
-      runExperiment(warm, SystemKind::kSocialTube);
+      runSaving(config, SystemKind::kSocialTube, rewrite, saveAt);
   // Today's save at the same point writes the committed bytes exactly: a
   // refactor that reorders any section's byte stream fails here.
   {
-    std::vector<std::uint8_t> golden;
-    std::vector<std::uint8_t> rewritten;
-    std::string error;
-    ASSERT_TRUE(snapshot::Reader::readFile(path, &golden, &error)) << error;
-    ASSERT_TRUE(snapshot::Reader::readFile(warm.snapshot.out, &rewritten,
-                                           &error))
-        << error;
+    const std::vector<std::uint8_t> golden = fileBytes(path);
+    const std::vector<std::uint8_t> rewritten = fileBytes(rewrite);
+    ASSERT_FALSE(golden.empty());
     EXPECT_TRUE(rewritten == golden)
         << "the 1-h save differs from " << path << " (" << rewritten.size()
         << " vs " << golden.size() << " bytes)";
   }
-  std::remove(warm.snapshot.out.c_str());
+  std::remove(rewrite.c_str());
 
-  ExperimentConfig resumed = config;
-  resumed.snapshot.in = path;
   const ExperimentResult restored =
-      runExperiment(resumed, SystemKind::kSocialTube);
-  EXPECT_TRUE(restored.counters == baseline.counters);
-  if (!(restored.counters == baseline.counters)) {
-    for (const auto& entry : baseline.counters.entries()) {
-      if (restored.counters.at(entry.name) != entry.value) {
-        ADD_FAILURE() << "counter " << entry.name << ": baseline "
-                      << entry.value << " vs restored "
-                      << restored.counters.at(entry.name);
-      }
-    }
-  }
-  EXPECT_EQ(restored.overlayFingerprint, baseline.overlayFingerprint);
-  EXPECT_EQ(restored.startupDelayMs.mean(), baseline.startupDelayMs.mean());
-  EXPECT_EQ(restored.uploadGini, baseline.uploadGini);
+      runRestoring(config, SystemKind::kSocialTube, path);
+  expectSameOutcome(baseline, restored);
 }
 
 // Version 1 kept the unsharded queue in its own section; a version-1 file
 // is refused by its header, before any section is parsed.
 TEST(GoldenSnapshot, V1FileIsRefusedByVersion) {
-  RestoreStack stack(goldenConfig(), SystemKind::kSocialTube);
+  const auto run = makeRun(goldenConfig(), SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
   std::string error;
-  EXPECT_FALSE(snapshot::restore(goldenPath(1), stack.participants(),
-                                 stack.compat(), &error));
+  EXPECT_FALSE(run->restore(goldenPath(1), &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
