@@ -11,6 +11,9 @@
 #   snapshot   checkpoint/restore differentials + codec fuzz
 #   shard      sharded-vs-sequential equality over the full stack (§13)
 #   integration  full-run figure/regression suites (slow; not in gates)
+#   claims     the paper's Fig. 16-18 orderings and committed 8-seed bands
+#              (tests/claims_test.cpp, a few seconds on 4 threads); the
+#              gate for changes that move trajectories
 #
 # ST_LABELS_ALL_GATED is check.sh's default sweep. ST_LABELS_TSAN is the
 # TSan pass: everything threaded — the thread pool, parallel multi-seed,
@@ -18,7 +21,7 @@
 # ST_LABELS_QUICK is sanitize.sh's fast default gate.
 ST_LABELS_QUICK='unit|flow'
 ST_LABELS_TSAN='unit|snapshot|flow|shard'
-ST_LABELS_ALL_GATED='unit|soak|snapshot|flow|shard'
+ST_LABELS_ALL_GATED='unit|soak|snapshot|flow|shard|claims'
 # Seed-sweep chaos soak on top of the `soak` ctest label: scripts/soak.sh
 # drives churn_storm through ST_SOAK_SEEDS seeds × a gray/dup/reorder/
 # rejoin fault matrix × both ST_TRACE modes. check.sh runs it when
