@@ -91,12 +91,12 @@ e2e_pin() {
   grep -E '^(repeat|fidelity)' <<<"$E2E_OUT"
 }
 e2e_pin 7 \
-  "events 4352051, PA-VoD=483c9874 SocialTube=8443b51e NetTube=35430207," \
+  "events 4347618, PA-VoD=483c9874 SocialTube=c3632bce NetTube=82de89d7," \
   "events 2702896, SocialTube=2d265243," \
   --trace 1
 e2e_pin 3 \
-  "events 4340433, PA-VoD=483c9874 SocialTube=bd2a6f63 NetTube=833c96f5," \
-  "events 2660576, SocialTube=2b650b3d," \
+  "events 4342460, PA-VoD=483c9874 SocialTube=10a63ca2 NetTube=ec353e79," \
+  "events 2662244, SocialTube=046e5a90," \
   --repeats 1
 
 # Seed-sweep chaos soak (scripts/soak.sh): ST_SOAK_SEEDS seeds × fault

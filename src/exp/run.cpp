@@ -251,6 +251,17 @@ bool Run::restore(const std::string& path, std::string* error) {
                          &snapshotBytes_)) {
     return false;
   }
+  // A save dated before the restored clock would fire in the past and pull
+  // the clock back with it.
+  if (!config_.snapshot.out.empty() && !saveRestored_ &&
+      saveAt_ < simulator_.now()) {
+    char message[128];
+    std::snprintf(message, sizeof message,
+                  "--snapshot-at %.6g s precedes the file's clock, %.6g s",
+                  sim::toSeconds(saveAt_), sim::toSeconds(simulator_.now()));
+    *error = message;
+    return false;
+  }
   if (injector_ && !info.injectorLoaded) injector_->arm();
   if (checker_ && !info.checkerLoaded) checker_->arm();
   armSave();

@@ -64,10 +64,6 @@ class RecoveryManager final : public sim::EventFactory {
   // SessionDriver::rejoinUser so the node is online before round one.
   void onRejoin(UserId user);
 
-  // Users still inside their reconciliation loop.
-  [[nodiscard]] std::size_t pendingRecoveries() const {
-    return rounds_.size();
-  }
   [[nodiscard]] std::uint64_t roundsRun() const { return roundsRun_->value(); }
   [[nodiscard]] std::uint64_t usersRecovered() const {
     return recovered_->value();

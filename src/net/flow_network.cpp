@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <tuple>
+#include <unordered_set>
 
 namespace st::net {
 
@@ -12,18 +14,31 @@ namespace {
 constexpr double kEpsilonBytes = 0.5;
 // Tolerance when comparing a fair-share rate against the playback floor.
 constexpr double kRateEpsilon = 1e-9;
+// Work units per byte (FlowNetwork::Work).
+constexpr double kUnitsPerByte = 1024.0;
 
 void eraseSlot(std::vector<std::uint64_t>& list, std::uint64_t slot) {
   const auto it = std::find(list.begin(), list.end(), slot);
   assert(it != list.end());
   list.erase(it);
 }
+
+// Work a share of `bps` delivers over `dt`, rounded to whole units.
+std::int64_t advance(double bps, sim::SimTime dt) {
+  return std::llround(bps / 8.0 * sim::toSeconds(dt) * kUnitsPerByte);
+}
+
+std::int64_t toWork(double bytes) {
+  return std::llround(bytes * kUnitsPerByte);
+}
 }  // namespace
 
-void FlowNetwork::addEndpoint(EndpointId id, EndpointCapacity capacity) {
+void FlowNetwork::addEndpoint(EndpointId id, EndpointCapacity capacity,
+                              std::uint32_t ownerKey) {
   assert(id.valid());
   if (endpoints_.size() <= id.index()) endpoints_.resize(id.index() + 1);
   endpoints_[id.index()].capacity = capacity;
+  endpoints_[id.index()].ownerKey = ownerKey;
 }
 
 bool FlowNetwork::hasEndpoint(EndpointId id) const {
@@ -80,58 +95,173 @@ double FlowNetwork::fairRate(const Flow& flow) const {
   const EndpointState& src = endpoints_[flow.src.index()];
   const EndpointState& dst = endpoints_[flow.dst.index()];
   assert(!src.uploads.empty() && !dst.downloads.empty());
-  const double up =
-      src.capacity.uploadBps / static_cast<double>(src.uploads.size());
-  const double down =
-      dst.capacity.downloadBps / static_cast<double>(dst.downloads.size());
-  return std::min(up, down);
+  return std::min(sideShare(src, kUp), sideShare(dst, kDown));
 }
 
-void FlowNetwork::settle(Flow& flow) {
-  if (flow.queued || flow.paused) {
-    flow.lastUpdate = sim_.now();
-    return;  // queued/paused flows make no progress
-  }
-  const sim::SimTime now = sim_.now();
-  if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-    const double elapsedSeconds = sim::toSeconds(now - flow.lastUpdate);
-    flow.bytesRemaining =
-        std::max(0.0, flow.bytesRemaining - flow.rateBps / 8.0 * elapsedSeconds);
-  }
-  flow.lastUpdate = now;
+double FlowNetwork::sideShare(const EndpointState& state, std::size_t side) {
+  const std::size_t flows =
+      side == kUp ? state.uploads.size() : state.downloads.size();
+  if (flows == 0) return 0.0;
+  const double capacity =
+      side == kUp ? state.capacity.uploadBps : state.capacity.downloadBps;
+  return capacity / static_cast<double>(flows);
 }
 
-void FlowNetwork::reschedule(Flow& flow) {
-  flow.rateBps = fairRate(flow);
-  if (flow.rateBps <= 0.0) {
-    // Zero-capacity endpoint: flow stalls until topology changes again. The
-    // caller is expected to give every endpoint nonzero capacity, but a
-    // stalled flow must not schedule a completion at time infinity.
-    sim_.cancel(flow.completion);
-    flow.completion = sim::EventHandle{};
+FlowNetwork::Group& FlowNetwork::groupOf(const Flow& flow) {
+  return flow.place == Place::kUpload
+             ? endpoints_[flow.src.index()].groups[kUp]
+             : endpoints_[flow.dst.index()].groups[kDown];
+}
+
+const FlowNetwork::Group& FlowNetwork::groupOf(const Flow& flow) const {
+  return const_cast<FlowNetwork*>(this)->groupOf(flow);
+}
+
+FlowNetwork::Place FlowNetwork::bindingSide(const Flow& flow) const {
+  return endpoints_[flow.src.index()].groups[kUp].s1 <=
+                 endpoints_[flow.dst.index()].groups[kDown].s1
+             ? Place::kUpload
+             : Place::kDownload;
+}
+
+std::pair<FlowNetwork::Work, sim::SimTime> FlowNetwork::segmentStart(
+    const Group& group) {
+  if (group.s1 == group.s0) return {group.v0, group.t0};
+  return {group.v0 + advance(group.s0, group.t1 - group.t0), group.t1};
+}
+
+FlowNetwork::Work FlowNetwork::clockAt(const Group& group, sim::SimTime t) {
+  // A change made at instant t itself governs only what follows t.
+  if (group.s1 != group.s0 && group.t1 < t) {
+    const auto [start, from] = segmentStart(group);
+    return start + advance(group.s1, t - from);
+  }
+  return group.v0 + advance(group.s0, t - group.t0);
+}
+
+void FlowNetwork::setShare(Group& group, double share, sim::SimTime now) {
+  // A change pending from an earlier instant is final: fold it in.
+  if (group.s1 != group.s0 && group.t1 < now) {
+    std::tie(group.v0, group.t0) = segmentStart(group);
+    group.s0 = group.s1;
+  }
+  group.s1 = share;
+  group.t1 = now;
+}
+
+bool FlowNetwork::grouped(const Flow& flow) {
+  return flow.place == Place::kUpload || flow.place == Place::kDownload;
+}
+
+FlowNetwork::Work FlowNetwork::remainingWork(const Flow& flow) const {
+  if (!grouped(flow)) return flow.work;
+  return flow.work - clockAt(groupOf(flow), sim_.now());
+}
+
+double FlowNetwork::remainingBytes(const Flow& flow) const {
+  return static_cast<double>(std::max<Work>(0, remainingWork(flow))) /
+         kUnitsPerByte;
+}
+
+void FlowNetwork::placeMember(Group& group, std::size_t pos,
+                              const Member& member) {
+  std::vector<Member>& heap = group.heap;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(member < heap[parent])) break;
+    heap[pos] = heap[parent];
+    flows_.find(heap[pos].slot)->heapPos = static_cast<std::uint32_t>(pos);
+    pos = parent;
+  }
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= heap.size()) break;
+    if (child + 1 < heap.size() && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < member)) break;
+    heap[pos] = heap[child];
+    flows_.find(heap[pos].slot)->heapPos = static_cast<std::uint32_t>(pos);
+    pos = child;
+  }
+  heap[pos] = member;
+  flows_.find(member.slot)->heapPos = static_cast<std::uint32_t>(pos);
+}
+
+void FlowNetwork::join(Slot slot, Flow& flow, Place side, Work remaining) {
+  const EndpointId endpoint = side == Place::kUpload ? flow.src : flow.dst;
+  const std::size_t index = side == Place::kUpload ? kUp : kDown;
+  Group& group = endpoints_[endpoint.index()].groups[index];
+  flow.place = side;
+  flow.work = clockAt(group, sim_.now()) + remaining;
+  group.heap.emplace_back();
+  placeMember(group, group.heap.size() - 1, Member{flow.work, flow.seq, slot});
+  if (flow.heapPos == 0) queueRetime(endpoint, index);
+}
+
+void FlowNetwork::leave(Flow& flow) {
+  const bool upload = flow.place == Place::kUpload;
+  const EndpointId endpoint = upload ? flow.src : flow.dst;
+  const std::size_t index = upload ? kUp : kDown;
+  Group& group = endpoints_[endpoint.index()].groups[index];
+  const std::size_t pos = flow.heapPos;
+  assert(pos < group.heap.size());
+  const Member last = group.heap.back();
+  group.heap.pop_back();
+  if (pos < group.heap.size()) placeMember(group, pos, last);
+  flow.place = Place::kNone;
+  if (pos == 0) queueRetime(endpoint, index);
+}
+
+void FlowNetwork::queueRetime(EndpointId endpoint, std::size_t side) {
+  Group& group = endpoints_[endpoint.index()].groups[side];
+  if (group.retimeQueued) return;
+  group.retimeQueued = true;
+  retimeList_.emplace_back(endpoint, side);
+}
+
+void FlowNetwork::retime(EndpointId endpoint, std::size_t side) {
+  EndpointState& state = endpoints_[endpoint.index()];
+  Group& group = state.groups[side];
+  group.retimeQueued = false;
+  ++rateRecomputations_;
+  if (group.heap.empty() || group.s1 <= 0.0) {
+    // No member, or a zero-capacity side: its flows stall until membership
+    // changes again, and must not schedule a completion at time infinity.
+    sim_.cancel(group.completion);
+    group.completion = sim::EventHandle{};
     return;
   }
-  const double seconds = flow.bytesRemaining * 8.0 / flow.rateBps;
-  const auto delay =
-      std::max<sim::SimTime>(sim::fromSeconds(seconds), 0);
+  // The head's finish time on the segment that runs from now on. It depends
+  // on the group's state only, not on when it is computed; truncated to
+  // whole microseconds, so the head may finish up to one microsecond early.
+  const auto [start, from] = segmentStart(group);
+  const double seconds =
+      static_cast<double>(group.heap.front().finish - start) /
+      kUnitsPerByte * 8.0 / group.s1;
+  const sim::SimTime now = sim_.now();
+  const sim::SimTime due = std::max(now, from + sim::fromSeconds(seconds));
   // Moves a queued completion in place: no closure rebuild, no dead entry.
-  flow.completion = sim_.retimeTagged(
-      flow.completion, delay,
-      sim::makeTag(sim::Component::kFlow, kFinishEvent, flow.id.value()));
+  group.completion = sim_.retimeTagged(
+      group.completion, due - now,
+      sim::makeTag(sim::Component::kFlow, kGroupEvent, endpoint.value(), side),
+      state.ownerKey);
 }
 
 sim::Callback FlowNetwork::rebuild(const sim::EventTag& tag) {
-  assert(tag.kind == kFinishEvent);
-  const FlowId id{static_cast<std::uint32_t>(tag.a)};
-  return [this, id] { finish(id); };
+  // Tag words are outside input on restore: only captured here, checked in
+  // onRestored before the event can fire.
+  const EndpointId endpoint{static_cast<std::uint32_t>(tag.a)};
+  const std::size_t side = tag.b;
+  return [this, endpoint, side] { complete(endpoint, side); };
 }
 
 bool FlowNetwork::onRestored(const sim::EventTag& tag,
                              sim::EventHandle handle) {
-  if (tag.kind != kFinishEvent) return false;
-  Flow* flow = flows_.find(slotOf(FlowId{static_cast<std::uint32_t>(tag.a)}));
-  if (flow == nullptr) return false;
-  flow->completion = handle;
+  if (tag.kind != kGroupEvent || tag.a >= endpoints_.size() || tag.b > kDown) {
+    return false;
+  }
+  Group& group = endpoints_[tag.a].groups[tag.b];
+  if (group.heap.empty() || group.completion.valid()) return false;
+  group.completion = handle;
   return true;
 }
 
@@ -139,89 +269,84 @@ void FlowNetwork::beginBatch() { ++batchDepth_; }
 
 void FlowNetwork::applyBatch() {
   assert(batchDepth_ > 0);
-  if (--batchDepth_ == 0 && !dirtyList_.empty()) drain();
+  if (--batchDepth_ == 0 && (!dirtyList_.empty() || !retimeList_.empty())) {
+    drain();
+  }
 }
 
 void FlowNetwork::markDirty(EndpointId endpoint) {
   // Mutations only happen under a batch (every public mutator opens an
   // implicit one), so a mark can never be dropped on the floor.
   assert(batchDepth_ > 0);
+  EndpointState& state = endpoints_[endpoint.index()];
+  if (state.dirty) return;
+  state.dirty = true;
   dirtyList_.push_back(endpoint);
 }
 
 void FlowNetwork::drain() {
-  ++drainEpoch_;
-  // Dedup endpoints keeping each one's LAST mark: walking backwards and
-  // reversing yields endpoints ordered by last occurrence. The eager solver
-  // refreshed an endpoint on every mutation touching it; only its final
-  // refresh determined the surviving completion events, and that final
-  // refresh used the endpoint's final membership — which is exactly what we
-  // read here, in the same relative order.
-  drainEndpoints_.clear();
-  for (std::size_t i = dirtyList_.size(); i-- > 0;) {
+  const sim::SimTime now = sim_.now();
+  // New shares. No simulated time passes inside a batch, so every clock
+  // advanced at its old share up to now; the new share runs from now on.
+  rescan_.assign(dirtyList_.size(), 0);
+  for (std::size_t i = 0; i < dirtyList_.size(); ++i) {
     EndpointState& state = endpoints_[dirtyList_[i].index()];
-    if (state.dirtyStamp == drainEpoch_) continue;
-    state.dirtyStamp = drainEpoch_;
-    drainEndpoints_.push_back(dirtyList_[i]);
+    state.dirty = false;
+    for (const std::size_t side : {kUp, kDown}) {
+      Group& group = state.groups[side];
+      const double share = sideShare(state, side);
+      if (share == group.s1) continue;
+      setShare(group, share, now);
+      rescan_[i] |= static_cast<std::uint8_t>(1u << side);
+      if (!group.heap.empty()) queueRetime(dirtyList_[i], side);
+    }
   }
-  std::reverse(drainEndpoints_.begin(), drainEndpoints_.end());
+  // A flow's binding side follows its two endpoints' shares, so only the
+  // members of a side whose share moved can flip. A flip carries the
+  // remaining work F - V(now) into the other group.
+  for (std::size_t i = 0; i < dirtyList_.size(); ++i) {
+    const EndpointState& state = endpoints_[dirtyList_[i].index()];
+    for (const std::size_t side : {kUp, kDown}) {
+      if ((rescan_[i] & (1u << side)) == 0) continue;
+      for (const Slot slot : side == kUp ? state.uploads : state.downloads) {
+        Flow& flow = *flows_.find(slot);
+        if (!grouped(flow)) continue;  // activated in this batch: joins below
+        const Place want = bindingSide(flow);
+        if (want == flow.place) continue;
+        const Work left = flow.work - clockAt(groupOf(flow), now);
+        leave(flow);
+        join(slot, flow, want, left);
+      }
+    }
+  }
   dirtyList_.clear();
-  // Same trick per flow: a flow at two dirty endpoints was refreshed last by
-  // the later endpoint's pass, and within one endpoint's pass uploads come
-  // before downloads.
-  drainMembers_.clear();
-  for (const EndpointId endpoint : drainEndpoints_) {
-    const EndpointState& state = endpoints_[endpoint.index()];
-    drainMembers_.insert(drainMembers_.end(), state.uploads.begin(),
-                         state.uploads.end());
-    drainMembers_.insert(drainMembers_.end(), state.downloads.begin(),
-                         state.downloads.end());
+  for (const Slot slot : pending_) {
+    Flow* flow = flows_.find(slot);
+    if (flow == nullptr || flow->place != Place::kPending) continue;
+    join(slot, *flow, bindingSide(*flow), flow->work);
   }
-  drainOrder_.clear();
-  for (std::size_t i = drainMembers_.size(); i-- > 0;) {
-    Flow* flow = flows_.find(drainMembers_[i]);
-    assert(flow != nullptr);
-    if (flow->drainStamp == drainEpoch_) continue;
-    flow->drainStamp = drainEpoch_;
-    drainOrder_.push_back(drainMembers_[i]);
-  }
-  for (std::size_t i = drainOrder_.size(); i-- > 0;) {
-    Flow& flow = *flows_.find(drainOrder_[i]);
-    // The deferred settle is exact: rateBps was the flow's rate over the
-    // whole [lastUpdate, now] span, because batches never span simulated
-    // time — membership changed "now", so the old rate governed everything
-    // up to now and the new rate has had zero seconds to act.
-    settle(flow);
-    reschedule(flow);
-    ++rateRecomputations_;
-  }
+  pending_.clear();
+  for (const auto& [endpoint, side] : retimeList_) retime(endpoint, side);
+  retimeList_.clear();
 }
 
 double FlowNetwork::estimatedBacklogSeconds(const EndpointState& state) const {
   if (state.capacity.uploadBps <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
-  const sim::SimTime now = sim_.now();
   double backlogBytes = 0.0;
-  // Active uploads: read-only settle (progress since lastUpdate). Exact even
-  // mid-batch: a not-yet-drained flow's rateBps is the rate that actually
-  // governed [lastUpdate, now], so this computes the same remaining bytes
-  // the eager solver would have settled to.
+  // Active uploads: F - V(now). Exact even mid-batch: the group clocks run
+  // at the pre-batch shares, which governed everything up to now.
   for (const Slot slot : state.uploads) {
-    const Flow& flow = *flows_.find(slot);
-    double remaining = flow.bytesRemaining;
-    if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-      remaining -= flow.rateBps / 8.0 * sim::toSeconds(now - flow.lastUpdate);
-    }
-    backlogBytes += std::max(0.0, remaining);
+    backlogBytes += remainingBytes(*flows_.find(slot));
   }
   // Paused uploads hold their slot and will resume; queued uploads wait in
   // line untouched.
   for (const Slot slot : state.pausedUploads) {
-    backlogBytes += flows_.find(slot)->bytesRemaining;
+    backlogBytes += remainingBytes(*flows_.find(slot));
   }
   for (const Slot slot : state.uploadQueue) {
-    backlogBytes += flows_.find(slot)->bytesRemaining;
+    backlogBytes += remainingBytes(*flows_.find(slot));
   }
   return backlogBytes * 8.0 / state.capacity.uploadBps;
 }
@@ -257,47 +382,34 @@ FlowId FlowNetwork::startFlow(EndpointId src, EndpointId dst,
   // the wait queue.
   const std::size_t usedSlots =
       source.uploads.size() + source.pausedUploads.size();
-  if (usedSlots >= source.uploadLimit) {
-    if (shouldShed(src, options.flowClass, options.deadline)) {
-      ++source.flowsShed;
-      for (FlowObserver* observer : observers_) {
-        observer->onFlowShed(src, dst, options.flowClass);
-      }
-      return FlowId::invalid();
+  const bool queue = usedSlots >= source.uploadLimit;
+  if (queue && shouldShed(src, options.flowClass, options.deadline)) {
+    ++source.flowsShed;
+    for (FlowObserver* observer : observers_) {
+      observer->onFlowShed(src, dst, options.flowClass);
     }
-    // No free upload slot: wait in line. The flow joins the share pools of
-    // both endpoints only on activation.
-    const FlowId id{nextFlowId_++};
-    Flow flow;
-    flow.id = id;
-    flow.src = src;
-    flow.dst = dst;
-    flow.bytesRemaining = static_cast<double>(bytes);
-    flow.totalBytes = bytes;
-    flow.lastUpdate = sim_.now();
-    flow.flowClass = options.flowClass;
-    flow.queued = true;
-    flow.completionTag = options.completionTag;
-    const Slot slot = flows_.insert(std::move(flow));
-    index_.emplace(id.value(), slot);
-    source.uploadQueue.push_back(slot);
-    endpoints_[dst.index()].queuedInbound.push_back(slot);
-    return id;
+    return FlowId::invalid();
   }
-
   const FlowId id{nextFlowId_++};
   Flow flow;
   flow.id = id;
   flow.src = src;
   flow.dst = dst;
-  flow.bytesRemaining = static_cast<double>(bytes);
+  flow.work = toWork(static_cast<double>(bytes));
   flow.totalBytes = bytes;
-  flow.lastUpdate = sim_.now();
   flow.flowClass = options.flowClass;
   flow.completionTag = options.completionTag;
   const Slot slot = flows_.insert(std::move(flow));
   index_.emplace(id.value(), slot);
-  activate(slot, *flows_.find(slot));
+  if (queue) {
+    // No free upload slot: wait in line. The flow joins the share pools of
+    // both endpoints only on activation.
+    flows_.find(slot)->queued = true;
+    source.uploadQueue.push_back(slot);
+    endpoints_[dst.index()].queuedInbound.push_back(slot);
+  } else {
+    activate(slot, *flows_.find(slot));
+  }
   return id;
 }
 
@@ -315,13 +427,14 @@ void FlowNetwork::activate(Slot slot, Flow& flow) {
   }
   flow.queued = false;
   flow.paused = false;
-  flow.lastUpdate = sim_.now();
+  // Joins its group at batch commit, once the new shares pick its side.
+  flow.place = Place::kPending;
+  flow.seq = nextSeq_++;
+  pending_.push_back(slot);
   endpoints_[flow.src.index()].uploads.push_back(slot);
   endpoints_[flow.dst.index()].downloads.push_back(slot);
-  // Membership at both endpoints changed; both sides settle at batch commit
-  // (the new flow's own rate is derived in the same drain).
   markDirty(flow.src);
-  if (flow.dst != flow.src) markDirty(flow.dst);
+  markDirty(flow.dst);
   enforceFloorFor(flow);
 }
 
@@ -340,20 +453,14 @@ void FlowNetwork::promoteQueued(EndpointId endpoint) {
 
 void FlowNetwork::enforceFloorFor(Flow& flow) {
   if (floorBps_ <= 0.0) return;
-  // fairRate() is evaluated live instead of reading flow.rateBps: under
-  // deferred settling the cached rate is stale mid-batch, and the live
-  // expression is bit-for-bit what the eager solver's refresh had just
-  // stored when it evaluated this loop condition.
+  // fairRate() is evaluated live from the membership counts: the groups'
+  // shares are settled only at batch commit.
   while (fairRate(flow) + kRateEpsilon < floorBps_) {
     // Victims live at the bottleneck endpoint: pausing elsewhere cannot
     // raise this flow's rate.
     const EndpointState& src = endpoints_[flow.src.index()];
     const EndpointState& dst = endpoints_[flow.dst.index()];
-    const double upShare =
-        src.capacity.uploadBps / static_cast<double>(src.uploads.size());
-    const double downShare =
-        dst.capacity.downloadBps / static_cast<double>(dst.downloads.size());
-    const bool srcBottleneck = upShare <= downShare;
+    const bool srcBottleneck = sideShare(src, kUp) <= sideShare(dst, kDown);
     const std::vector<Slot>& members =
         srcBottleneck ? src.uploads : dst.downloads;
     // Lowest class first (largest enum value), most recently activated
@@ -370,27 +477,23 @@ void FlowNetwork::enforceFloorFor(Flow& flow) {
     }
     if (victim == 0) break;
     Flow& victimFlow = *flows_.find(victim);
-    const EndpointId vSrc = victimFlow.src;
-    const EndpointId vDst = victimFlow.dst;
+    markDirty(victimFlow.src);
+    markDirty(victimFlow.dst);
     pauseFlow(victim, victimFlow);
-    markDirty(vSrc);
-    if (vDst != vSrc) markDirty(vDst);
   }
 }
 
 void FlowNetwork::pauseFlow(Slot slot, Flow& flow) {
   assert(!flow.queued && !flow.paused);
-  // Settle immediately: the pre-pause rate must stop accruing the moment the
-  // flow leaves the share pools, not at batch commit.
-  settle(flow);
-  if (flow.completion.valid()) {
-    sim_.cancel(flow.completion);
-    flow.completion = sim::EventHandle{};
-  }
+  // The remaining work stops shrinking the moment the flow leaves its
+  // group, not at batch commit.
+  const Work left = remainingWork(flow);
+  if (grouped(flow)) leave(flow);
+  flow.place = Place::kNone;
+  flow.work = left;
   eraseSlot(endpoints_[flow.src.index()].uploads, slot);
   eraseSlot(endpoints_[flow.dst.index()].downloads, slot);
   flow.paused = true;
-  flow.rateBps = 0.0;
   endpoints_[flow.src.index()].pausedUploads.push_back(slot);
   endpoints_[flow.dst.index()].pausedDownloads.push_back(slot);
 }
@@ -445,21 +548,22 @@ void FlowNetwork::resumePaused(EndpointId endpoint) {
   }
 }
 
-void FlowNetwork::finish(FlowId id) {
-  const Slot slot = slotOf(id);
-  if (slot == 0) return;
+void FlowNetwork::complete(EndpointId endpoint, std::size_t side) {
+  Group& group = endpoints_[endpoint.index()].groups[side];
+  group.completion = sim::EventHandle{};  // this event
+  assert(!group.heap.empty());
+  const Slot slot = group.heap.front().slot;
+  const Flow& head = *flows_.find(slot);
+  // The completion time is truncated to whole microseconds, so the head
+  // may finish up to one microsecond's worth of bytes early.
+  assert(remainingBytes(head) <=
+         kEpsilonBytes + group.s1 / 8.0 * sim::toSeconds(1));
+  const FlowId id = head.id;
   beginBatch();
-  Flow* flow = flows_.find(slot);
-  settle(*flow);
-  // reschedule() truncates the completion delay to whole microseconds
-  // (sim::fromSeconds), so a flow may finish up to one microsecond's worth
-  // of bytes early, beside float error.
-  assert(flow->bytesRemaining <=
-         kEpsilonBytes + flow->rateBps / 8.0 * sim::toSeconds(1));
   const Flow record = removeFlow(slot, /*completed=*/true);
   applyBatch();
   // Notify after the drain so observers (and the tag's component) see the
-  // post-completion rates — the order the eager solver delivered.
+  // post-completion shares.
   for (FlowObserver* observer : observers_) observer->onFlowCompleted(id);
   if (record.completionTag.tagged()) sim_.invokeTagged(record.completionTag);
 }
@@ -467,7 +571,6 @@ void FlowNetwork::finish(FlowId id) {
 FlowNetwork::Flow FlowNetwork::removeFlow(Slot slot, bool completed) {
   Flow flow = flows_.take(slot);
   index_.erase(flow.id.value());
-  if (flow.completion.valid()) sim_.cancel(flow.completion);
 
   if (flow.queued) {
     // Never activated: only the source's wait queue (and the destination's
@@ -493,8 +596,13 @@ FlowNetwork::Flow FlowNetwork::removeFlow(Slot slot, bool completed) {
     return flow;
   }
 
+  // A flow activated in this batch has no group yet; the drain skips its
+  // released slot.
+  if (grouped(flow)) leave(flow);
   eraseSlot(endpoints_[flow.src.index()].uploads, slot);
   eraseSlot(endpoints_[flow.dst.index()].downloads, slot);
+  markDirty(flow.src);
+  markDirty(flow.dst);
 
   if (completed) {
     endpoints_[flow.src.index()].bytesUploaded += flow.totalBytes;
@@ -504,10 +612,6 @@ FlowNetwork::Flow FlowNetwork::removeFlow(Slot slot, bool completed) {
   promoteQueued(flow.src);
   resumePaused(flow.src);
   if (flow.dst != flow.src) resumePaused(flow.dst);
-  // Marked after promotions/resumes so the drain orders this pair's final
-  // settle the way the eager solver's trailing refreshes did.
-  markDirty(flow.src);
-  if (flow.dst != flow.src) markDirty(flow.dst);
 
   if (!completed) sim_.discardTagged(flow.completionTag);
   return flow;
@@ -549,7 +653,7 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
   // When the *endpoint itself* departs we notify for uploads it was serving
   // (the remote downloader lost its provider); its own downloads just die
   // with it. Aborts are recorded during removal and delivered afterwards in
-  // ascending flow-id order, so observers see a settled network minus every
+  // ascending flow-id order, so observers see the network minus every
   // doomed flow — and any replacement flows they start join this batch.
   struct Abort {
     FlowId id;
@@ -559,12 +663,11 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
   for (const Slot slot : doomed) {
     Flow* flow = flows_.find(slot);
     if (flow == nullptr) continue;  // same flow on both sides (loopback)
-    settle(*flow);
     if (flow->dst != endpoint) {
       aborts.push_back(
           {flow->id,
            static_cast<std::uint64_t>(static_cast<double>(flow->totalBytes) -
-                                      flow->bytesRemaining)});
+                                      remainingBytes(*flow))});
     }
     removeFlow(slot, /*completed=*/false);
   }
@@ -581,7 +684,7 @@ bool FlowNetwork::flowActive(FlowId id) const { return slotOf(id) != 0; }
 
 double FlowNetwork::flowRateBps(FlowId id) const {
   const Flow* flow = flows_.find(slotOf(id));
-  return flow == nullptr ? 0.0 : flow->rateBps;
+  return flow != nullptr && grouped(*flow) ? groupOf(*flow).s1 : 0.0;
 }
 
 bool FlowNetwork::flowPaused(FlowId id) const {
@@ -623,10 +726,9 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
   (void)error;
   // Batches never span simulated time, and snapshots are taken between
   // events, so there is nothing deferred to flush here.
-  assert(batchDepth_ == 0 && dirtyList_.empty());
-  // Membership lists serialize as public flow ids (the byte format predates
-  // the slot arena and must stay stable), so translate slot -> id on the way
-  // out; loadState rebuilds the arena and translates back.
+  assert(batchDepth_ == 0 && dirtyList_.empty() && pending_.empty());
+  // Membership lists serialize as public flow ids, so translate slot -> id
+  // on the way out; loadState rebuilds the arena and translates back.
   const auto publicId = [this](Slot slot) {
     const Flow* flow = flows_.find(slot);
     assert(flow != nullptr);
@@ -649,9 +751,9 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
     w.u32(value);
     w.u32(flow.src.value());
     w.u32(flow.dst.value());
-    w.f64(flow.bytesRemaining);
-    w.f64(flow.rateBps);
-    w.i64(flow.lastUpdate);
+    w.u8(static_cast<std::uint8_t>(flow.place));
+    w.i64(flow.work);
+    w.u64(flow.seq);
     w.u64(flow.totalBytes);
     w.u8(static_cast<std::uint8_t>(flow.flowClass));
     w.boolean(flow.queued);
@@ -674,11 +776,19 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
     saveSlotList(state.queuedInbound);
     saveSlotList(state.pausedUploads);
     saveSlotList(state.pausedDownloads);
+    // The current share s1 follows from the membership counts.
+    for (const Group& group : state.groups) {
+      w.i64(group.v0);
+      w.i64(group.t0);
+      w.f64(group.s0);
+      w.i64(group.t1);
+    }
     w.u64(state.bytesUploaded);
     w.u64(state.bytesDownloaded);
     w.u64(state.flowsShed);
   }
   w.u32(nextFlowId_);
+  w.u64(nextSeq_);
   return true;
 }
 
@@ -705,20 +815,27 @@ bool loadSlotList(snapshot::Reader& r, const Index& index, Container* out) {
 
 bool FlowNetwork::loadState(snapshot::Reader& r) {
   r.section(0x574f4c46, "flow network");
-  const std::size_t flowCount = r.count(4 + 4 + 4 + 8 + 8 + 8 + 8 + 3 + 40);
+  const std::size_t flowCount =
+      r.count(4 + 4 + 4 + 1 + 8 + 8 + 8 + 1 + 1 + 1 + 40);
   if (!r.ok()) return false;
   flows_ = SlotPool<Flow>{};
   index_.clear();
   dirtyList_.clear();
+  pending_.clear();
+  retimeList_.clear();
+  for (EndpointState& state : endpoints_) {
+    state.dirty = false;
+    for (Group& group : state.groups) group = Group{};
+  }
   for (std::size_t i = 0; i < flowCount; ++i) {
     const FlowId id{r.u32()};
     Flow flow;
     flow.id = id;
     flow.src = EndpointId{r.u32()};
     flow.dst = EndpointId{r.u32()};
-    flow.bytesRemaining = r.f64();
-    flow.rateBps = r.f64();
-    flow.lastUpdate = r.i64();
+    const std::uint8_t place = r.u8();
+    flow.work = r.i64();
+    flow.seq = r.u64();
     flow.totalBytes = r.u64();
     const std::uint8_t flowClass = r.u8();
     flow.queued = r.boolean();
@@ -732,18 +849,23 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
     flow.completionTag.c = r.u64();
     flow.completionTag.d = r.u64();
     if (!r.ok()) return false;
+    // Saves happen between batches: every active flow is in a group, and
+    // only active flows are.
+    const bool idle = flow.queued || flow.paused;
     if (!hasEndpoint(flow.src) || !hasEndpoint(flow.dst) ||
         flowClass >= kFlowClassCount || (flow.queued && flow.paused) ||
-        flow.bytesRemaining < 0.0 || flow.totalBytes == 0 ||
-        index_.count(id.value()) != 0) {
+        place > static_cast<std::uint8_t>(Place::kDownload) ||
+        idle != (place == static_cast<std::uint8_t>(Place::kNone)) ||
+        flow.totalBytes == 0 || index_.count(id.value()) != 0) {
       r.fail("flow record out of range");
       return false;
     }
+    flow.place = static_cast<Place>(place);
     flow.flowClass = static_cast<FlowClass>(flowClass);
     const Slot slot = flows_.insert(std::move(flow));
     index_.emplace(id.value(), slot);
   }
-  const std::size_t endpointCount = r.count(9 * 8);
+  const std::size_t endpointCount = r.count(6 * 8 + 2 * 4 * 8 + 3 * 8);
   if (!r.ok() || endpointCount != endpoints_.size()) {
     r.fail("flow network endpoint count mismatch");
     return false;
@@ -755,17 +877,61 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
     if (!loadSlotList(r, index_, &state.queuedInbound)) return false;
     if (!loadSlotList(r, index_, &state.pausedUploads)) return false;
     if (!loadSlotList(r, index_, &state.pausedDownloads)) return false;
+    for (Group& group : state.groups) {
+      group.v0 = r.i64();
+      group.t0 = r.i64();
+      group.s0 = r.f64();
+      group.t1 = r.i64();
+      if (!r.ok()) return false;
+      if (!(group.s0 >= 0.0 && group.s0 < 1e300) || group.t0 < 0 ||
+          group.t1 < group.t0) {
+        r.fail("flow group clock out of range");
+        return false;
+      }
+    }
     state.bytesUploaded = r.u64();
     state.bytesDownloaded = r.u64();
     state.flowsShed = r.u64();
   }
   nextFlowId_ = r.u32();
+  nextSeq_ = r.u64();
   if (!r.ok()) return false;
   for (const auto& [value, slot] : index_) {
-    if (value >= nextFlowId_) {
+    if (value >= nextFlowId_ || flows_.find(slot)->seq >= nextSeq_) {
       r.fail("flow id collides with the id allocator");
       return false;
     }
+  }
+  // Each active flow is listed once among its source's uploads and once
+  // among its destination's downloads; the group heaps are rebuilt from
+  // the finish tags of exactly those flows.
+  std::unordered_set<std::uint32_t> listed[2];
+  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
+    EndpointState& state = endpoints_[e];
+    for (const std::size_t side : {kUp, kDown}) {
+      for (const Slot slot : side == kUp ? state.uploads : state.downloads) {
+        Flow& flow = *flows_.find(slot);
+        const EndpointId at = side == kUp ? flow.src : flow.dst;
+        if (at.index() != e || !grouped(flow) ||
+            !listed[side].insert(flow.id.value()).second) {
+          r.fail("flow lists out of step with the flow records");
+          return false;
+        }
+      }
+      state.groups[side].s1 = sideShare(state, side);
+    }
+  }
+  for (const auto& [value, slot] : index_) {
+    Flow& flow = *flows_.find(slot);
+    if (!grouped(flow)) continue;
+    if (listed[kUp].count(value) == 0 || listed[kDown].count(value) == 0) {
+      r.fail("flow lists out of step with the flow records");
+      return false;
+    }
+    Group& group = groupOf(flow);
+    group.heap.emplace_back();
+    placeMember(group, group.heap.size() - 1,
+                Member{flow.work, flow.seq, slot});
   }
   return true;
 }

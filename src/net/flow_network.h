@@ -7,24 +7,30 @@
 //
 // i.e. each endpoint splits its capacity evenly across its active flows.
 // Rates change only when a flow starts or ends, so the event-driven
-// integration is exact: on each membership change we settle the progress of
-// the affected flows and reschedule their completion events.
+// integration is exact between membership changes.
 //
 // This is the mechanism that makes the origin server's 5 Mbps uplink
 // (Table I) saturate under PA-VoD and produce the paper's startup-delay
 // blow-up — no special-case queueing code needed.
 //
-// Rate allocation is *incremental*: mutations update membership immediately
-// but only mark their endpoints dirty; the settle + completion-reschedule
-// work runs once per dirty endpoint when the enclosing mutation batch
-// commits. Every public mutation is its own implicit batch, so single calls
-// behave exactly like the old eager solver; churn events that add/remove
-// many flows at once (a node departure, a promotion wave) wrap the calls in
-// a MutationBatch and pay for each affected flow once instead of once per
-// mutation. Batches never span simulated time, which is why the deferred
-// settle is bitwise-identical to eager recomputation: a flow's recorded
-// rate always covers exactly the [lastUpdate, now] span it was in effect
-// for (see DESIGN.md §12).
+// Processor-sharing groups (DESIGN.md §12): every active flow runs at the
+// share of its binding side — its source's upload group when
+// upload/nUp <= download/nDown (ties go to the upload side), otherwise its
+// destination's download group — and every member of one group runs at the
+// same rate. A group keeps a virtual clock V that advances at its share, so
+// a member's finish tag F = V(join) + bytes never changes while it stays,
+// its remaining bytes are F - V(now), and members finish in tag order. One
+// completion event per group covers its head. A start or finish costs
+// O(log n) for the flow that moves plus one completion re-time per group
+// whose share or head changed; a flow whose binding side flips carries
+// F - V(now) bytes into its other group.
+//
+// Mutations update membership immediately and mark their endpoints dirty;
+// shares, binding flips and completion re-times are settled once when the
+// enclosing mutation batch commits. Every public mutation is its own
+// implicit batch; churn events that add/remove many flows at once (a node
+// departure, a promotion wave) wrap the calls in a MutationBatch. Batches
+// never span simulated time.
 //
 // Overload control (all off by default; a run with every knob at its default
 // is bitwise-identical to a build without this layer):
@@ -45,6 +51,7 @@
 #include <deque>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -109,7 +116,9 @@ struct FlowOptions {
 class FlowNetwork : public sim::EventFactory {
  public:
   // Tag kinds for Component::kFlow events (snapshot format; append only).
-  static constexpr std::uint8_t kFinishEvent = 0;  // a = flow id
+  // Kind 0, a per-flow finish event (format v2), is retired: a pending one
+  // fails the restore.
+  static constexpr std::uint8_t kGroupEvent = 1;  // a = endpoint, b = side
 
   using FlowOptions = net::FlowOptions;
 
@@ -137,7 +146,10 @@ class FlowNetwork : public sim::EventFactory {
                                 sim::EventHandle handle) override;
 
   // Registers endpoint `id` (ids must be dense, assigned by the caller).
-  void addEndpoint(EndpointId id, EndpointCapacity capacity);
+  // Its groups' completion events execute under `ownerKey`, the community
+  // key of the endpoint (DESIGN.md §13), whichever event re-times them.
+  void addEndpoint(EndpointId id, EndpointCapacity capacity,
+                   std::uint32_t ownerKey = 0);
   [[nodiscard]] bool hasEndpoint(EndpointId id) const;
   [[nodiscard]] const EndpointCapacity& capacity(EndpointId id) const;
 
@@ -153,7 +165,6 @@ class FlowNetwork : public sim::EventFactory {
   // flows at its bottleneck endpoint are paused to make room. 0 disables
   // priorities entirely (the default; behavior identical to the seed model).
   void setPlaybackFloor(double floorBps);
-  [[nodiscard]] double playbackFloor() const { return floorBps_; }
 
   // Installs deadline-aware admission control at `endpoint` (meaningful only
   // together with an upload concurrency limit; flows that would be admitted
@@ -167,13 +178,13 @@ class FlowNetwork : public sim::EventFactory {
 
   // --- mutation batches -------------------------------------------------------
   // Between beginBatch() and the matching applyBatch(), mutations update
-  // flow membership immediately but defer the fair-share settle/reschedule
-  // of affected flows; the outermost applyBatch() drains the dirty-endpoint
-  // set and recomputes each affected flow exactly once. Batches nest.
-  // Queries of *rates* (flowRateBps, estimated backlog) made mid-batch see
-  // the pre-batch rates — correct for elapsed-time accounting, stale as a
-  // forecast; membership queries (counts, paused/queued flags) are always
-  // current. Batches must not span simulated time.
+  // flow membership immediately but defer the new shares, binding flips and
+  // completion re-times; the outermost applyBatch() drains the
+  // dirty-endpoint set once. Batches nest. Rate queries (flowRateBps)
+  // made mid-batch see the pre-batch shares, and a flow activated in the
+  // open batch reports 0 until it joins its group at commit; membership
+  // queries (counts, paused/queued flags) are always current. Batches must
+  // not span simulated time.
   void beginBatch();
   void applyBatch();
 
@@ -235,21 +246,24 @@ class FlowNetwork : public sim::EventFactory {
   // Flows shed by `endpoint`'s admission policy since the start of the run.
   [[nodiscard]] std::uint64_t flowsShed(EndpointId id) const;
 
-  // Diagnostic: settle+reschedule operations performed by batch drains since
-  // construction. The dirty-set regression tests and bench assert on deltas;
-  // not serialized (resets on restore), not registered as a metric.
+  // Diagnostic: group completion re-times (scheduled, moved or cancelled)
+  // performed by batch drains since construction, one per group whose
+  // share or head changed. The dirty-set regression tests assert on
+  // deltas; not serialized (resets on restore), not registered as a metric.
   [[nodiscard]] std::uint64_t rateRecomputations() const {
     return rateRecomputations_;
   }
 
   // Checkpoint/restore of the mutable data plane: every live flow (sorted by
-  // id for a canonical byte stream), per-endpoint membership lists verbatim
-  // (their order drives fair-share refresh order), transfer tallies, and the
-  // id allocator. Static configuration (capacities, limits, policies, floor,
+  // id for a canonical byte stream) with its group placement and finish
+  // tag, per-endpoint membership lists verbatim (their order drives the
+  // flip scan and the floor's victim order), each endpoint's two group
+  // clocks, transfer tallies, and the id and join-sequence allocators.
+  // Static configuration (capacities, owner keys, limits, policies, floor,
   // observers) is re-applied by the experiment setup before restore.
-  // Completion EventHandles are re-stored by onRestored() while the
-  // simulator queue loads (after this), so loadState leaves them invalid.
-  // The byte format is slot-arena-free: membership lists serialize as public
+  // Group heaps are rebuilt from the tags; completion EventHandles are
+  // re-stored by onRestored() while the simulator queue loads (after this),
+  // so loadState leaves them invalid. Membership lists serialize as public
   // flow ids, so the internal pool layout never leaks into the snapshot.
   bool saveState(snapshot::Writer& w, std::string* error) const;
   bool loadState(snapshot::Reader& r);
@@ -257,31 +271,73 @@ class FlowNetwork : public sim::EventFactory {
  private:
   struct Flow;
   // Internal generation-stamped arena handle (util::SlotPool). Membership
-  // lists store these, so the drain loop is index arithmetic + one
-  // generation compare per flow — no hashing. Public FlowIds map to slots
-  // through index_ exactly once per public-API call.
+  // lists and group heaps store these, so the drain is index arithmetic +
+  // one generation compare per flow — no hashing. Public FlowIds map to
+  // slots through index_ exactly once per public-API call.
   using Slot = SlotPool<Flow>::Id;
+  // Bytes of work in integer units of 1/1024 byte. Group clocks and finish
+  // tags are integers, so F - V is exact and a flow that flips between
+  // groups carries its remaining bytes without rounding.
+  using Work = std::int64_t;
+
+  // Where an active flow runs. kPending: activated in the open batch, joins
+  // its group at commit. kNone: queued or paused.
+  enum class Place : std::uint8_t { kNone, kUpload, kDownload, kPending };
+  // A group's side; the index of EndpointState::groups.
+  static constexpr std::size_t kUp = 0;
+  static constexpr std::size_t kDown = 1;
 
   struct Flow {
     FlowId id;                     // public id (snapshot-stable)
     EndpointId src;
     EndpointId dst;
-    double bytesRemaining = 0.0;
-    double rateBps = 0.0;          // current rate
-    sim::SimTime lastUpdate = 0;   // when bytesRemaining was settled
+    // In a group: the finish tag F on the group's clock. Otherwise the
+    // remaining work.
+    Work work = 0;
+    // Activation order: ties between equal finish tags go to the earlier.
+    std::uint64_t seq = 0;
     std::uint64_t totalBytes = 0;
+    std::uint32_t heapPos = 0;     // index in the group's heap
+    Place place = Place::kNone;
     FlowClass flowClass = FlowClass::kPlayback;
     bool queued = false;           // waiting for an upload slot at src
     bool paused = false;           // preempted by a higher-class flow
-    sim::EventHandle completion;
     sim::EventTag completionTag{};  // serializable completion notification
-    std::uint64_t drainStamp = 0;   // drain-epoch dedup mark (transient)
+  };
+
+  // One entry of a group's min-heap, ordered by (finish, seq).
+  struct Member {
+    Work finish;
+    std::uint64_t seq;
+    Slot slot;
+    bool operator<(const Member& other) const {
+      return finish != other.finish ? finish < other.finish : seq < other.seq;
+    }
+  };
+
+  // The flows bound by one endpoint side's share. The virtual clock is
+  // V(t) = v0 + the bytes share s0 delivers over [t0, t]. A share change is
+  // recorded as pending (s1 from t1) and folded into (v0, t0, s0) the next
+  // time the clock is set at a later instant, so V depends only on the
+  // share in effect at the end of each instant, however many batches
+  // changed it within the instant.
+  struct Group {
+    Work v0 = 0;
+    sim::SimTime t0 = 0;
+    double s0 = 0.0;
+    double s1 = 0.0;        // the current share (bps); == s0 unless pending
+    sim::SimTime t1 = 0;
+    std::vector<Member> heap;
+    sim::EventHandle completion;  // fires when the head's tag is reached
+    bool retimeQueued = false;    // in retimeList_ (transient)
   };
 
   struct EndpointState {
     EndpointCapacity capacity;
+    std::uint32_t ownerKey = 0;
     std::vector<Slot> uploads;    // insertion order => deterministic
     std::vector<Slot> downloads;
+    Group groups[2];              // [kUp], [kDown]
     std::size_t uploadLimit = std::numeric_limits<std::size_t>::max();
     std::deque<Slot> uploadQueue;
     // Flows queued at *another* source that will download into this
@@ -294,26 +350,50 @@ class FlowNetwork : public sim::EventFactory {
     std::vector<Slot> pausedDownloads;
     AdmissionPolicy admission;
     bool admissionEnabled = false;
+    bool dirty = false;           // in dirtyList_ (transient)
     std::uint64_t bytesUploaded = 0;
     std::uint64_t bytesDownloaded = 0;
     std::uint64_t flowsShed = 0;
-    std::uint64_t dirtyStamp = 0;  // drain-epoch dedup mark (transient)
   };
 
   [[nodiscard]] Slot slotOf(FlowId id) const;
   [[nodiscard]] double fairRate(const Flow& flow) const;
-  void settle(Flow& flow);
-  void reschedule(Flow& flow);
-  // Queues `endpoint` for a fair-share refresh at batch commit. Every
-  // membership change marks both affected endpoints; duplicates are cheap
-  // (appended, deduped at drain).
+  // The share one side of `state` gives each of its active flows (0 when
+  // it has none).
+  [[nodiscard]] static double sideShare(const EndpointState& state,
+                                        std::size_t side);
+  [[nodiscard]] Group& groupOf(const Flow& flow);
+  [[nodiscard]] const Group& groupOf(const Flow& flow) const;
+  // The group side the flow's binding share selects.
+  [[nodiscard]] Place bindingSide(const Flow& flow) const;
+  // Where the segment run by the current share s1 starts: (V, time).
+  [[nodiscard]] static std::pair<Work, sim::SimTime> segmentStart(
+      const Group& group);
+  [[nodiscard]] static Work clockAt(const Group& group, sim::SimTime t);
+  static void setShare(Group& group, double share, sim::SimTime now);
+  // In an upload or a download group (not queued, paused or pending).
+  [[nodiscard]] static bool grouped(const Flow& flow);
+  // Remaining work of a live flow, in units (may dip below 0 by rounding
+  // when its completion is due).
+  [[nodiscard]] Work remainingWork(const Flow& flow) const;
+  [[nodiscard]] double remainingBytes(const Flow& flow) const;
+  // Heap maintenance; join and leave queue the group's completion re-time
+  // when its head changes. placeMember puts `member` at `pos` (a hole) and
+  // sifts it up or down.
+  void join(Slot slot, Flow& flow, Place side, Work remaining);
+  void leave(Flow& flow);
+  void placeMember(Group& group, std::size_t pos, const Member& member);
+  void queueRetime(EndpointId endpoint, std::size_t side);
+  void retime(EndpointId endpoint, std::size_t side);
+  // Queues `endpoint` for a share refresh at batch commit. Every
+  // membership change marks both affected endpoints.
   void markDirty(EndpointId endpoint);
-  // Settles and reschedules every flow at a dirty endpoint exactly once, in
-  // the order the eager solver's *final* refresh of each flow would have
-  // used (endpoints by last mark, flows by membership order, keeping a
-  // flow's last occurrence) — same completion events, same tie-breaking.
+  // New shares at the dirty endpoints, binding flips at the sides whose
+  // share moved, group joins for flows activated in the batch, then one
+  // completion re-time per group whose share or head changed.
   void drain();
-  void finish(FlowId id);
+  // The head of `endpoint`'s `side` group finished (its completion event).
+  void complete(EndpointId endpoint, std::size_t side);
   // Unlinks the flow everywhere, credits tallies when `completed`, releases
   // its slot, and returns the record (for post-batch notification). Discards
   // the completion tag itself on abandonment; invoking it on completion is
@@ -347,18 +427,18 @@ class FlowNetwork : public sim::EventFactory {
   SlotPool<Flow> flows_;
   std::unordered_map<std::uint32_t, Slot> index_;  // public id -> slot
   std::uint32_t nextFlowId_ = 1;
+  std::uint64_t nextSeq_ = 0;
   double floorBps_ = 0.0;
   std::vector<FlowObserver*> observers_;
 
-  // Batch state. dirtyList_ is append-only within a batch (duplicates
-  // allowed); the scratch vectors are reused across drains so steady-state
-  // commits allocate nothing.
+  // Batch state; the lists are reused across drains so steady-state commits
+  // allocate nothing.
   int batchDepth_ = 0;
-  std::uint64_t drainEpoch_ = 0;
-  std::vector<EndpointId> dirtyList_;
-  std::vector<EndpointId> drainEndpoints_;  // scratch: deduped, last-mark order
-  std::vector<Slot> drainMembers_;          // scratch: concatenated membership
-  std::vector<Slot> drainOrder_;            // scratch: deduped, reversed
+  std::vector<EndpointId> dirtyList_;      // each dirty endpoint once
+  std::vector<Slot> pending_;              // activated in the open batch
+  // Groups whose share or head changed: (endpoint, side), first mark first.
+  std::vector<std::pair<EndpointId, std::size_t>> retimeList_;
+  std::vector<std::uint8_t> rescan_;       // scratch: per dirty endpoint
   std::uint64_t rateRecomputations_ = 0;
 };
 

@@ -66,7 +66,7 @@ class Network {
   // the root, is the default and the only key of the one-key plan.
   void addEndpoint(EndpointId id, EndpointCapacity capacity,
                    std::uint32_t ownerKey = 0) {
-    flows_.addEndpoint(id, capacity);
+    flows_.addEndpoint(id, capacity, ownerKey);
     if (ownerKey_.size() <= id.index()) ownerKey_.resize(id.index() + 1, 0);
     ownerKey_[id.index()] = ownerKey;
   }

@@ -347,11 +347,14 @@ void Simulator::cancel(EventHandle handle) {
 }
 
 EventHandle Simulator::retimeTagged(EventHandle handle, SimTime delay,
-                                    const EventTag& tag) {
+                                    const EventTag& tag,
+                                    std::uint32_t ownerKey) {
   assert(delay >= 0);
-  const std::uint32_t shardIndex = handle.slot_ >> kSlotIndexBits;
-  if (handle.valid() && tlsWindow.sim != this &&
-      shardIndex == plan_.shardOf(currentKey_)) {
+  assert(ownerKey < plan_.keyCount);
+  const std::uint32_t shardIndex = plan_.shardOf(ownerKey);
+  const bool inWindow = tlsWindow.sim == this;
+  if (handle.valid() && !inWindow &&
+      handle.slot_ >> kSlotIndexBits == shardIndex) {
     ShardState& shard = shards_[shardIndex];
     const std::uint32_t index = handle.slot_ & kSlotIndexMask;
     Slot& slot = shard.slots[index];
@@ -360,13 +363,16 @@ EventHandle Simulator::retimeTagged(EventHandle handle, SimTime delay,
     // the tag.
     if (slot.gen == handle.gen_ && slot.period == 0 &&
         shard.tags[index] == tag) {
-      slot.destKey = currentKey_;
+      slot.destKey = ownerKey;
       shard.rekey(index, now_ + delay, nextStamp(currentKey_));
       return handle;
     }
   }
   cancel(handle);
-  return scheduleTagged(delay, tag);
+  if (inWindow) return scheduleForKeyTagged(ownerKey, delay, tag);
+  return enqueueInShard(shards_[shardIndex], now_ + delay,
+                        nextStamp(currentKey_), build(tag), /*period=*/0,
+                        tag, ownerKey);
 }
 
 void Simulator::fire(ShardState& shard, const HeapEntry& entry) {

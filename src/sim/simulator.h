@@ -166,14 +166,16 @@ class Simulator {
   // for a periodic series, its state) immediately; no-op on invalid or
   // stale handles.
   void cancel(EventHandle handle);
-  // Exactly cancel(handle) followed by scheduleTagged(delay, tag): one stamp
-  // from currentKey(), which also becomes the owner key, so the fire order
-  // is the same. A live one-shot with the same tag, on the shard
-  // scheduleTagged would pick, is re-keyed in place (outside parallel
-  // windows) and keeps its handle and closure; anything else is cancelled
-  // and scheduled afresh. Callers store the returned handle.
+  // Exactly cancel(handle) followed by scheduleForKeyTagged(ownerKey,
+  // delay, tag): one stamp from currentKey(), and the event executes under
+  // `ownerKey`, so the fire order is the same. A live one-shot with the
+  // same tag is re-keyed in place (outside parallel windows) and keeps its
+  // handle and closure, whichever key re-times it; anything else is
+  // cancelled and scheduled afresh. Callers store the returned handle.
+  // Outside parallel windows a re-time is not a cross-shard post: the post
+  // telemetry counts messages, the traffic the lookahead floor covers.
   EventHandle retimeTagged(EventHandle handle, SimTime delay,
-                           const EventTag& tag);
+                           const EventTag& tag, std::uint32_t ownerKey);
 
   // Runs events until the queue is empty or the clock passes `until`.
   // Events at exactly `until` still run. Returns the number of events fired.

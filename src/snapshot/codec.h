@@ -37,9 +37,12 @@
 namespace st::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x4e535453;  // "STSN"
-// Version 2: every run writes the keyed SSIM queue section (an unsharded
-// run writes one key); version-1 files are refused.
-inline constexpr std::uint32_t kFormatVersion = 2;
+// Version 3: the FLOW section holds processor-sharing groups (per-flow
+// finish tags and placement, two virtual clocks per endpoint) and the
+// queue holds one completion event per group. Version 2 (per-flow byte
+// ledgers and finish events) and version 1 (a separate unsharded queue
+// section) are refused.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint64_t kMaxSnapshotBytes = 1ull << 32;
 
 namespace detail {

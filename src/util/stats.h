@@ -111,7 +111,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  [[nodiscard]] std::size_t bucketCount() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucketSamples(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] double bucketLow(std::size_t i) const;
   [[nodiscard]] std::size_t totalSamples() const { return total_; }

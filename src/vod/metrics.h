@@ -86,7 +86,6 @@ class Metrics {
   }
   [[nodiscard]] std::uint64_t stallCount() const { return stallCount_; }
   [[nodiscard]] double stallSeconds() const { return stallSeconds_; }
-  [[nodiscard]] double playbackSeconds() const { return playbackSeconds_; }
   [[nodiscard]] double rebufferRatio() const {
     const double total = stallSeconds_ + playbackSeconds_;
     return total <= 0.0 ? 0.0 : stallSeconds_ / total;

@@ -144,10 +144,6 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   [[nodiscard]] std::uint64_t watchDuplicatesSuppressed() const {
     return watchDupsSuppressed_;
   }
-  // Peer first chunks abandoned by the hedge deadline (overload `hedge=`).
-  [[nodiscard]] std::uint64_t hedgedTransfers() const {
-    return hedges_ != nullptr ? hedges_->value() : 0;
-  }
 
   // Structural contract audit (see vod/audit.h): no watch or prefetch owned
   // by an offline user, and no active flow sourced from a dead peer — both

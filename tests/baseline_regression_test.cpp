@@ -8,6 +8,10 @@
 // The expected values are the seed fingerprint of simulationDefaults(7)
 // scaled to 150 users / 3 sessions over half a simulated day. Regenerate
 // them only for an intentional behavior change, never to "fix" this test.
+// Last regenerated for the processor-sharing flow groups (DESIGN.md §12),
+// whose integer work units round differently: SocialTube's and NetTube's
+// mean startup delays moved in their last bits, PA-VoD's trajectory by the
+// origin's rounding.
 // The overlay fingerprint is the CRC of the system's end-of-run snapshot
 // section (overlays, caches, directory, search records), so it also pins
 // that section's byte layout.
@@ -77,7 +81,7 @@ TEST(BaselineRegression, SocialTubeFingerprintIsStable) {
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.8f0f32d24a75bp+9);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.8f0f32d9edd3fp+9);
   EXPECT_EQ(p99, 0x1.686fc3b4f6165p+13);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.6a68790ae86ccp-1);
   EXPECT_EQ(r.uploadGini, 0x1.c769dddc64b24p-2);
@@ -88,39 +92,39 @@ TEST(BaselineRegression, PaVodFingerprintIsStable) {
   const ExperimentResult r =
       runExperiment(fingerprintConfig(), SystemKind::kPaVod);
   const obs::Snapshot expected = snapshotOf({
-      {"body_completions", 3814},
+      {"body_completions", 3829},
       {"cache_hits", 0},
       {"category_hits", 0},
-      {"channel_hits", 2742},
-      {"events_fired", 32883},
+      {"channel_hits", 2751},
+      {"events_fired", 32896},
       {"feed_notifications", 0},
       {"feed_watches", 0},
       {"messages_faulted", 0},
       {"messages_lost", 0},
-      {"messages_sent", 12103},
-      {"peer_chunks", 51830},
+      {"messages_sent", 12102},
+      {"peer_chunks", 52058},
       {"prefetch_hits", 0},
       {"prefetch_issued", 0},
       {"probes", 0},
-      {"rebuffers", 825},
+      {"rebuffers", 818},
       {"releases_fired", 0},
       {"repairs", 0},
       {"search.retries", 0},
-      {"server_bytes", 8739101414ull},
-      {"server_chunks", 24714},
-      {"server_fallbacks", 1659},
+      {"server_bytes", 8728168510ull},
+      {"server_chunks", 24765},
+      {"server_fallbacks", 1650},
       {"sessions_completed", 438},
-      {"startup_timeouts", 439},
-      {"transfer.resourced", 229},
+      {"startup_timeouts", 426},
+      {"transfer.resourced", 220},
       {"watches", 4401},
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.0a2fa79f6caf8p+13);
-  EXPECT_EQ(p99, 0x1.c14f486983515p+15);
-  EXPECT_EQ(r.aggregatePeerFraction(), 0x1.5ab05fe49a1d2p-1);
-  EXPECT_EQ(r.uploadGini, 0x1.d6f6654a94ac8p-3);
-  EXPECT_EQ(r.overlayFingerprint, 0x3469835eu);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.063ab8a32b0bep+13);
+  EXPECT_EQ(p99, 0x1.c140a1426fe71p+15);
+  EXPECT_EQ(r.aggregatePeerFraction(), 0x1.5af30dcae3a53p-1);
+  EXPECT_EQ(r.uploadGini, 0x1.bda99d0e6c6e8p-3);
+  EXPECT_EQ(r.overlayFingerprint, 0x1a19fc24u);
 }
 
 TEST(BaselineRegression, NetTubeFingerprintIsStable) {
@@ -158,7 +162,7 @@ TEST(BaselineRegression, NetTubeFingerprintIsStable) {
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.29ab48b54c818p+10);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.29ab48b82a454p+10);
   EXPECT_EQ(p99, 0x1.0d06155475a31p+14);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.7b5aa3e157bd8p-1);
   EXPECT_EQ(r.uploadGini, 0x1.e07ecf46eb6e4p-2);

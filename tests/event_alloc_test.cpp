@@ -120,7 +120,7 @@ TEST(EventAllocation, RetimeAndCancelAllocateNothing) {
     for (std::size_t i = 0; i < handles.size(); ++i) {
       const EventTag tag = CountingFactory::tag(i % 2 == 0 ? i : i + 1);
       handles[i] =
-          sim.retimeTagged(handles[i], 50 + static_cast<SimTime>(i), tag);
+          sim.retimeTagged(handles[i], 50 + static_cast<SimTime>(i), tag, 0);
     }
     for (const EventHandle handle : handles) sim.cancel(handle);
     sim.scheduleTagged(10, CountingFactory::tag(0));

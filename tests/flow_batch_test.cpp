@@ -1,16 +1,19 @@
-// The deferred-batch mutation API: dirty-endpoint settlement at batch
-// commit, the single-recompute guarantee for shared endpoints under
-// dropEndpointFlows, deterministic observer ordering, and equivalence of
+// The deferred-batch mutation API and the processor-sharing groups it
+// settles (DESIGN.md §12): one completion re-time per group whose share or
+// head changed at batch commit, deterministic observer ordering, binding
+// flips between a flow's source and destination groups, and equivalence of
 // batched and unbatched mutation sequences (bitwise-identical completion
-// times — the incremental solver is an optimization, never a model change).
+// times: no simulated time passes inside a batch).
 #include "net/flow_network.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "flow_observer.h"
+#include "harness.h"
 #include "sim/simulator.h"
 
 namespace st::net {
@@ -34,9 +37,13 @@ class FlowBatchTest : public ::testing::Test {
 
 TEST_F(FlowBatchTest, DropSettlesASharedEndpointOnce) {
   // Regression for the O(N) double-refresh: a provider uploads N flows to
-  // one destination that also downloads from a survivor. The eager solver
-  // re-solved the shared destination after every removal; the batch drains
-  // the dirty set once, so exactly one surviving flow is recomputed.
+  // one destination that also downloads from a survivor. Every flow is
+  // bound by the destination's downlink share (8/17 Mbit/s), so all 17 sit
+  // in its download group. The batch drains the dirty set once, however
+  // many flows died: the survivor's source share (8 Mbit/s) now ties the
+  // destination's (ties go to the upload side), so it flips into its
+  // source's group. Two re-times: the emptied destination group's event is
+  // cancelled and the source group's is scheduled.
   const EndpointId provider = endpoint(0);
   const EndpointId shared = endpoint(1);
   const EndpointId survivor = endpoint(2);
@@ -49,20 +56,19 @@ TEST_F(FlowBatchTest, DropSettlesASharedEndpointOnce) {
 
   const std::uint64_t before = flows_.rateRecomputations();
   flows_.dropEndpointFlows(provider);
-  // The only live flow touching a dirty endpoint is the survivor's; it is
-  // settled and re-rated exactly once regardless of how many flows died.
-  EXPECT_EQ(flows_.rateRecomputations() - before, 1u);
+  EXPECT_EQ(flows_.rateRecomputations() - before, 2u);
   EXPECT_EQ(observer_.aborts.size(), static_cast<std::size_t>(kFlows));
   EXPECT_NEAR(flows_.flowRateBps(kept), 8e6, 1.0);  // whole downlink now
   EXPECT_EQ(flows_.activeFlows(), 1u);
 }
 
 TEST_F(FlowBatchTest, SameInstantCompletionsFireInRescheduleOrder) {
-  // DESIGN.md §12: the drain re-rates dirty endpoints in the order of
-  // their last mark, as the eager solver's final refreshes did. Two equal
-  // flows on disjoint pairs, started in one batch, finish in the same
-  // microsecond; their completions then fire in stamp (reschedule) order:
-  // the first flow's endpoints were marked first.
+  // DESIGN.md §12: flows activated in a batch join their groups at commit
+  // in activation order, and the drain re-times groups in the order their
+  // head changed. Two equal flows on disjoint pairs (shares tie, so each
+  // joins its source's upload group), started in one batch, finish in the
+  // same microsecond; their completions then fire in stamp (re-time)
+  // order: the first flow's group got its head first.
   const EndpointId a = endpoint(0);
   const EndpointId b = endpoint(1);
   const EndpointId c = endpoint(2);
@@ -259,9 +265,11 @@ TEST_F(FlowBatchTest, ObserverMayStartFailoverFlowsDuringTheDropBatch) {
 }
 
 TEST_F(FlowBatchTest, ReRatingAtASharedOriginBuildsOneClosurePerFlow) {
-  // Every start at the origin re-rates all of its uploads. The re-rate
-  // moves each queued completion in place, so the kFlow factory builds one
-  // closure per flow (its first schedule), not one per rate recomputation.
+  // Every upload at the 5 Mbit/s origin is bound by its share, so all sit
+  // in the origin's upload group. A start changes that share: one re-time,
+  // which moves the group's queued completion in place. Each completion
+  // fires the group's event and schedules the next head's afresh, so the
+  // kFlow factory builds one closure per flow, not one per re-time.
   struct CountingFactory final : sim::EventFactory {
     explicit CountingFactory(sim::EventFactory& inner) : inner(inner) {}
     [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override {
@@ -281,19 +289,123 @@ TEST_F(FlowBatchTest, ReRatingAtASharedOriginBuildsOneClosurePerFlow) {
     uploads.push_back(flows_.startFlow(origin, endpoint(i), 2'000'000));
     ASSERT_TRUE(uploads.back().valid());
   }
-  // The i-th start re-rates all i uploads: 1 + 2 + ... + N recomputations.
-  EXPECT_EQ(flows_.rateRecomputations() - before,
-            std::uint64_t{kUploads} * (kUploads + 1) / 2);
-  EXPECT_EQ(counting.rebuilds, std::uint64_t{kUploads});
-  EXPECT_EQ(sim_.pendingEvents(), std::size_t{kUploads});
+  // One re-time per start; the first built the group's closure.
+  EXPECT_EQ(flows_.rateRecomputations() - before, std::uint64_t{kUploads});
+  EXPECT_EQ(counting.rebuilds, 1u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
 
-  // Each finish re-rates the survivors in place as well, and every upload
-  // still completes with all of its bytes.
+  // Every upload still completes with all of its bytes.
   sim_.run();
   EXPECT_EQ(counting.rebuilds, std::uint64_t{kUploads});
   EXPECT_EQ(flows_.activeFlows(), 0u);
   EXPECT_EQ(flows_.bytesUploaded(origin), std::uint64_t{kUploads} * 2'000'000);
   sim_.registerFactory(sim::Component::kFlow, &counting.inner);
+}
+
+TEST_F(FlowBatchTest, StartOrFinishAtAnUploaderRetimesOneEvent) {
+  // N equal flows at a 4 Mbit/s uploader, each to its own 8 Mbit/s
+  // downloader: all are bound by the uploader's share and share one group.
+  // A start or a finish there changes that share and re-times the group's
+  // one event; the downloaders' groups hold no member and re-time nothing.
+  const EndpointId uploader = endpoint(0, 4e6, 4e6);
+  constexpr std::uint32_t kFlows = 8;
+  for (std::uint32_t i = 1; i <= kFlows; ++i) {
+    ASSERT_TRUE(flows_.startFlow(uploader, endpoint(i), 1'000'000).valid());
+  }
+  ASSERT_EQ(sim_.pendingEvents(), 1u);
+  std::uint64_t before = flows_.rateRecomputations();
+  ASSERT_TRUE(
+      flows_.startFlow(uploader, endpoint(kFlows + 1), 1'000'000).valid());
+  EXPECT_EQ(flows_.rateRecomputations() - before, 1u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+
+  before = flows_.rateRecomputations();
+  ASSERT_TRUE(sim_.step());  // the head's completion
+  EXPECT_EQ(flows_.activeFlows(), std::size_t{kFlows});
+  EXPECT_EQ(flows_.rateRecomputations() - before, 1u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+}
+
+// One flow S -> D, 1 MB. It starts alone, bound by S's 4 Mbit/s uplink (its
+// source's group). At 0.5 s two more downloads into D cut D's 8 Mbit/s
+// downlink to 8/3 Mbit/s per flow, so it flips into D's group; at 1.0 s
+// they are cancelled and it flips back. Analytically: 2 Mbit by 0.5 s,
+// 4/3 Mbit more by 1.0 s, the remaining 14/3 Mbit at 4 Mbit/s, done at
+// 13/6 s.
+class FlowFlipTest : public ::testing::Test {
+ protected:
+  FlowFlipTest() : flows_(sim_) { addEndpoints(flows_); }
+
+  static void addEndpoints(FlowNetwork& flows) {
+    flows.addEndpoint(kSource, {4e6, 8e6});
+    flows.addEndpoint(kDest, {8e6, 8e6});
+    flows.addEndpoint(kOther1, {8e6, 8e6});
+    flows.addEndpoint(kOther2, {8e6, 8e6});
+  }
+
+  // Runs to 0.5 s and starts the two competing downloads.
+  void flipToTheDestination() {
+    flow_ = flows_.startFlow(kSource, kDest, 1'000'000);
+    EXPECT_NEAR(flows_.flowRateBps(flow_), 4e6, 1e-6);
+    sim_.runUntil(sim::fromSeconds(0.5));
+    other1_ = flows_.startFlow(kOther1, kDest, 10'000'000);
+    other2_ = flows_.startFlow(kOther2, kDest, 10'000'000);
+    EXPECT_NEAR(flows_.flowRateBps(flow_), 8e6 / 3, 1e-6);
+  }
+
+  // Runs `sim` to 1.0 s, cancels the competitors, and runs `flows`' flow to
+  // completion; returns its finish time.
+  sim::SimTime flipBackAndFinish(sim::Simulator& sim, FlowNetwork& flows) {
+    test::TestFlowObserver observer(flows);
+    sim::SimTime finished = -1;
+    observer.onComplete(flow_, [&] { finished = sim.now(); });
+    sim.runUntil(sim::fromSeconds(1.0));
+    flows.cancelFlow(other1_);
+    flows.cancelFlow(other2_);
+    EXPECT_NEAR(flows.flowRateBps(flow_), 4e6, 1e-6);
+    sim.run();
+    return finished;
+  }
+
+  static constexpr EndpointId kSource{0};
+  static constexpr EndpointId kDest{1};
+  static constexpr EndpointId kOther1{2};
+  static constexpr EndpointId kOther2{3};
+  sim::Simulator sim_;
+  FlowNetwork flows_;
+  FlowId flow_;
+  FlowId other1_;
+  FlowId other2_;
+};
+
+TEST_F(FlowFlipTest, FlipToTheDestinationAndBackMatchesTheAnalyticTime) {
+  flipToTheDestination();
+  const sim::SimTime finished = flipBackAndFinish(sim_, flows_);
+  EXPECT_LE(std::abs(finished - sim::fromSeconds(13.0 / 6.0)),
+            sim::kMicrosecond);
+  EXPECT_EQ(flows_.bytesDownloaded(kDest), 1'000'000u);
+}
+
+TEST_F(FlowFlipTest, SaveRightAfterAFlipRestoresAndResavesIdentically) {
+  flipToTheDestination();
+  std::string error;
+  snapshot::Writer saved;
+  ASSERT_TRUE(flows_.saveState(saved, &error)) << error;
+  ASSERT_TRUE(sim_.saveState(saved, &error)) << error;
+
+  sim::Simulator sim;
+  FlowNetwork flows(sim);
+  addEndpoints(flows);
+  snapshot::Reader r = st::testing::readerOf(saved);
+  ASSERT_TRUE(flows.loadState(r)) << r.error();
+  ASSERT_TRUE(sim.loadState(r)) << r.error();
+  snapshot::Writer resaved;
+  ASSERT_TRUE(flows.saveState(resaved, &error)) << error;
+  ASSERT_TRUE(sim.saveState(resaved, &error)) << error;
+  EXPECT_EQ(saved.body(), resaved.body());
+
+  // The restored network finishes the flow at the very same microsecond.
+  EXPECT_EQ(flipBackAndFinish(sim, flows), flipBackAndFinish(sim_, flows_));
 }
 
 }  // namespace

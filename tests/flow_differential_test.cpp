@@ -1,18 +1,26 @@
-// Differential test of the incremental fair-share solver against the eager
-// solver it replaced. net::FlowNetwork settles every affected flow once per
-// mutation batch (DESIGN.md §12); EagerFlowNetwork below is the solver from
-// before that change, its logic unchanged: every mutation re-solves its
-// endpoints at once, completions are plain closure events, and flows live in
-// a hash map. It is an independent model of the same queue, playback-floor,
-// shed and drop policies. Both replay the same seeded scenarios, and the
-// test compares the ordered completion stream (sim µs, flow id), the ordered
-// abort stream (flow id, bytes delivered) and the totals.
+// Differential test of the incremental processor-sharing solver against an
+// eager reference. net::FlowNetwork keeps every active flow in one group,
+// its source's upload group or its destination's download group, and
+// settles only the groups a mutation batch touched (DESIGN.md §12).
+// EagerFlowNetwork below adopts the same rule but recomputes every group
+// from scratch after every membership change: every share, every flow's
+// binding side, every group's head (by a scan) and every completion time,
+// with plain closure events and flows in a hash map. The byte ledger is
+// the rule's own: per-group virtual clocks in integer work units, finish
+// tags F = V(join) + bytes, F - V(now) carried across a binding flip. It
+// shares no code with the solver and keeps its own copy of the queue,
+// playback-floor, shed and drop policies. Both replay the same seeded
+// scenarios, and the test compares the ordered completion stream (sim µs,
+// flow id), the ordered abort stream (flow id, bytes delivered) and the
+// totals, exactly.
 #include "net/flow_network.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -66,35 +74,26 @@ class EagerFlowNetwork {
     EndpointState& source = endpoints_[src.index()];
     const std::size_t usedSlots =
         source.uploads.size() + source.pausedUploads.size();
-    if (usedSlots >= source.uploadLimit) {
-      if (shouldShed(src, options.flowClass, options.deadline)) {
-        ++out_.sheds;
-        return FlowId::invalid();
-      }
-      const FlowId id{nextFlowId_++};
-      Flow flow;
-      flow.src = src;
-      flow.dst = dst;
-      flow.bytesRemaining = static_cast<double>(bytes);
-      flow.totalBytes = bytes;
-      flow.lastUpdate = sim_.now();
-      flow.flowClass = options.flowClass;
-      flow.queued = true;
-      flows_.emplace(id, std::move(flow));
-      source.uploadQueue.push_back(id);
-      endpoints_[dst.index()].queuedInbound.push_back(id);
-      return id;
+    const bool queue = usedSlots >= source.uploadLimit;
+    if (queue && shouldShed(src, options.flowClass, options.deadline)) {
+      ++out_.sheds;
+      return FlowId::invalid();
     }
     const FlowId id{nextFlowId_++};
     Flow flow;
     flow.src = src;
     flow.dst = dst;
-    flow.bytesRemaining = static_cast<double>(bytes);
+    flow.work = std::llround(static_cast<double>(bytes) * kUnitsPerByte);
     flow.totalBytes = bytes;
-    flow.lastUpdate = sim_.now();
     flow.flowClass = options.flowClass;
-    flows_.emplace(id, std::move(flow));
-    activate(id, flows_.at(id));
+    flow.queued = queue;
+    flows_.emplace(id, flow);
+    if (queue) {
+      source.uploadQueue.push_back(id);
+      endpoints_[dst.index()].queuedInbound.push_back(id);
+    } else {
+      activate(id, flows_.at(id));
+    }
     return id;
   }
 
@@ -121,15 +120,13 @@ class EagerFlowNetwork {
     for (const FlowId id : doomed) {
       const auto it = flows_.find(id);
       if (it == flows_.end()) continue;
-      settle(it->second);
       const bool isDownload = it->second.dst == endpoint;
       const auto bytesDone = static_cast<std::uint64_t>(
           static_cast<double>(it->second.totalBytes) -
-          it->second.bytesRemaining);
+          remainingBytes(it->second));
       removeFlow(id, /*completed=*/false);
       if (!isDownload) out_.aborts.emplace_back(id.value(), bytesDone);
     }
-    // The eager solver notified in removal order, paused uploads last;
     // FlowNetwork reports one departure's aborts in ascending flow-id order.
     std::sort(out_.aborts.begin() + firstAbort, out_.aborts.end());
   }
@@ -139,22 +136,43 @@ class EagerFlowNetwork {
   }
 
  private:
+  // Work in 1/1024 byte units, as FlowNetwork counts it.
+  static constexpr double kUnitsPerByte = 1024.0;
+  static constexpr double kRateEpsilon = 1e-9;
+  static constexpr std::size_t kUp = 0;
+  static constexpr std::size_t kDown = 1;
+  static constexpr int kNone = -1;  // Flow::side of a queued/paused flow
+
   struct Flow {
     EndpointId src;
     EndpointId dst;
-    double bytesRemaining = 0.0;
-    double rateBps = 0.0;
-    sim::SimTime lastUpdate = 0;
+    int side = kNone;        // kUp: src's group, kDown: dst's group
+    std::int64_t work = 0;   // finish tag in a group, else remaining work
+    std::uint64_t seq = 0;   // activation order
     std::uint64_t totalBytes = 0;
     FlowClass flowClass = FlowClass::kPlayback;
     bool queued = false;
     bool paused = false;
+  };
+  // One endpoint side's virtual clock: V(t) = v0 + what s0 delivers over
+  // [t0, t]; a share change to s1 at t1 takes effect once its instant is
+  // over.
+  struct Clock {
+    std::int64_t v0 = 0;
+    sim::SimTime t0 = 0;
+    double s0 = 0.0;
+    double s1 = 0.0;
+    sim::SimTime t1 = 0;
+    // The completion event last scheduled: its head and time.
     sim::EventHandle completion;
+    FlowId head = FlowId::invalid();
+    sim::SimTime due = -1;
   };
   struct EndpointState {
     EndpointCapacity capacity;
     std::vector<FlowId> uploads;
     std::vector<FlowId> downloads;
+    Clock clocks[2];
     std::size_t uploadLimit = std::numeric_limits<std::size_t>::max();
     std::deque<FlowId> uploadQueue;
     std::vector<FlowId> queuedInbound;
@@ -165,89 +183,140 @@ class EagerFlowNetwork {
     std::uint64_t bytesUploaded = 0;
   };
 
-  static constexpr double kRateEpsilon = 1e-9;
-
   static void eraseId(std::vector<FlowId>& list, FlowId id) {
     const auto it = std::find(list.begin(), list.end(), id);
     assert(it != list.end());
     list.erase(it);
   }
 
+  static std::int64_t advance(double bps, sim::SimTime dt) {
+    return std::llround(bps / 8.0 * sim::toSeconds(dt) * kUnitsPerByte);
+  }
+  static std::int64_t clockAt(const Clock& c, sim::SimTime t) {
+    if (c.s1 != c.s0 && c.t1 < t) {
+      return c.v0 + advance(c.s0, c.t1 - c.t0) + advance(c.s1, t - c.t1);
+    }
+    return c.v0 + advance(c.s0, t - c.t0);
+  }
+  static void setShare(Clock& c, double share, sim::SimTime now) {
+    if (c.s1 != c.s0 && c.t1 < now) {
+      c.v0 += advance(c.s0, c.t1 - c.t0);
+      c.t0 = c.t1;
+      c.s0 = c.s1;
+    }
+    c.s1 = share;
+    c.t1 = now;
+  }
+
+  [[nodiscard]] static double share(const EndpointState& state,
+                                    std::size_t side) {
+    const std::size_t n =
+        side == kUp ? state.uploads.size() : state.downloads.size();
+    if (n == 0) return 0.0;
+    return (side == kUp ? state.capacity.uploadBps
+                        : state.capacity.downloadBps) /
+           static_cast<double>(n);
+  }
   [[nodiscard]] double fairRate(const Flow& flow) const {
-    const EndpointState& src = endpoints_[flow.src.index()];
-    const EndpointState& dst = endpoints_[flow.dst.index()];
-    const double up =
-        src.capacity.uploadBps / static_cast<double>(src.uploads.size());
-    const double down =
-        dst.capacity.downloadBps / static_cast<double>(dst.downloads.size());
-    return std::min(up, down);
+    return std::min(share(endpoints_[flow.src.index()], kUp),
+                    share(endpoints_[flow.dst.index()], kDown));
+  }
+  [[nodiscard]] Clock& clockOf(const Flow& flow, int side) {
+    return side == static_cast<int>(kUp)
+               ? endpoints_[flow.src.index()].clocks[kUp]
+               : endpoints_[flow.dst.index()].clocks[kDown];
+  }
+  [[nodiscard]] double remainingBytes(const Flow& flow) {
+    std::int64_t left = flow.work;
+    if (flow.side != kNone) {
+      left -= clockAt(clockOf(flow, flow.side), sim_.now());
+    }
+    return static_cast<double>(std::max<std::int64_t>(0, left)) /
+           kUnitsPerByte;
   }
 
-  void settle(Flow& flow) {
-    if (flow.queued || flow.paused) {
-      flow.lastUpdate = sim_.now();
-      return;
-    }
+  // Every group from scratch: shares, binding sides (a flow flips with its
+  // remaining work F - V(now)), heads by a full scan, completion times.
+  void refresh() {
     const sim::SimTime now = sim_.now();
-    if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-      const double elapsedSeconds = sim::toSeconds(now - flow.lastUpdate);
-      flow.bytesRemaining = std::max(
-          0.0, flow.bytesRemaining - flow.rateBps / 8.0 * elapsedSeconds);
+    for (EndpointState& state : endpoints_) {
+      for (const std::size_t side : {kUp, kDown}) {
+        const double s = share(state, side);
+        if (s != state.clocks[side].s1) setShare(state.clocks[side], s, now);
+      }
     }
-    flow.lastUpdate = now;
+    struct Head {
+      FlowId id = FlowId::invalid();
+      std::int64_t finish = 0;
+      std::uint64_t seq = 0;
+    };
+    std::vector<std::array<Head, 2>> heads(endpoints_.size());
+    for (auto& [id, flow] : flows_) {
+      if (flow.queued || flow.paused) continue;
+      const int want = endpoints_[flow.src.index()].clocks[kUp].s1 <=
+                               endpoints_[flow.dst.index()].clocks[kDown].s1
+                           ? static_cast<int>(kUp)
+                           : static_cast<int>(kDown);
+      if (flow.side != want) {
+        const std::int64_t left =
+            flow.side == kNone
+                ? flow.work
+                : flow.work - clockAt(clockOf(flow, flow.side), now);
+        flow.side = want;
+        flow.work = clockAt(clockOf(flow, want), now) + left;
+      }
+      const EndpointId at = want == static_cast<int>(kUp) ? flow.src : flow.dst;
+      Head& head = heads[at.index()][static_cast<std::size_t>(want)];
+      if (!head.id.valid() || flow.work < head.finish ||
+          (flow.work == head.finish && flow.seq < head.seq)) {
+        head = Head{id, flow.work, flow.seq};
+      }
+    }
+    for (std::size_t e = 0; e < endpoints_.size(); ++e) {
+      for (const std::size_t side : {kUp, kDown}) {
+        Clock& c = endpoints_[e].clocks[side];
+        const Head& head = heads[e][side];
+        sim::SimTime due = -1;
+        if (head.id.valid() && c.s1 > 0.0) {
+          const bool pending = c.s1 != c.s0;
+          const std::int64_t start =
+              pending ? c.v0 + advance(c.s0, c.t1 - c.t0) : c.v0;
+          const sim::SimTime from = pending ? c.t1 : c.t0;
+          const double seconds = static_cast<double>(head.finish - start) /
+                                 kUnitsPerByte * 8.0 / c.s1;
+          due = std::max(now, from + sim::fromSeconds(seconds));
+        }
+        if (head.id == c.head && due == c.due) continue;
+        sim_.cancel(c.completion);
+        c.completion = sim::EventHandle{};
+        c.head = head.id;
+        c.due = due;
+        if (due < 0) continue;
+        const FlowId id = head.id;
+        c.completion = sim_.schedule(due - now, [this, id] { finish(id); });
+      }
+    }
   }
 
-  void reschedule(FlowId id, Flow& flow) {
-    if (flow.completion.valid()) sim_.cancel(flow.completion);
-    flow.rateBps = fairRate(flow);
-    if (flow.rateBps <= 0.0) {
-      flow.completion = sim::EventHandle{};
-      return;
-    }
-    const double seconds = flow.bytesRemaining * 8.0 / flow.rateBps;
-    const auto delay = std::max<sim::SimTime>(sim::fromSeconds(seconds), 0);
-    flow.completion = sim_.schedule(delay, [this, id] { finish(id); });
-  }
-
-  void refreshEndpoint(EndpointId endpoint) {
-    EndpointState& state = endpoints_[endpoint.index()];
-    std::vector<FlowId> touched = state.uploads;
-    touched.insert(touched.end(), state.downloads.begin(),
-                   state.downloads.end());
-    for (const FlowId id : touched) {
-      const auto it = flows_.find(id);
-      settle(it->second);
-      reschedule(id, it->second);
-    }
-  }
-
-  [[nodiscard]] double estimatedBacklogSeconds(
-      const EndpointState& state) const {
+  [[nodiscard]] double estimatedBacklogSeconds(const EndpointState& state) {
     if (state.capacity.uploadBps <= 0.0) {
       return std::numeric_limits<double>::infinity();
     }
-    const sim::SimTime now = sim_.now();
     double backlogBytes = 0.0;
     for (const FlowId id : state.uploads) {
-      const Flow& flow = flows_.at(id);
-      double remaining = flow.bytesRemaining;
-      if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-        remaining -=
-            flow.rateBps / 8.0 * sim::toSeconds(now - flow.lastUpdate);
-      }
-      backlogBytes += std::max(0.0, remaining);
+      backlogBytes += remainingBytes(flows_.at(id));
     }
     for (const FlowId id : state.pausedUploads) {
-      backlogBytes += flows_.at(id).bytesRemaining;
+      backlogBytes += remainingBytes(flows_.at(id));
     }
     for (const FlowId id : state.uploadQueue) {
-      backlogBytes += flows_.at(id).bytesRemaining;
+      backlogBytes += remainingBytes(flows_.at(id));
     }
     return backlogBytes * 8.0 / state.capacity.uploadBps;
   }
 
   [[nodiscard]] bool shouldShed(EndpointId src, FlowClass flowClass,
-                                sim::SimTime deadline) const {
+                                sim::SimTime deadline) {
     const EndpointState& state = endpoints_[src.index()];
     if (!state.admissionEnabled) return false;
     if (flowClass == FlowClass::kPrefetch && state.admission.shedPrefetch) {
@@ -270,11 +339,10 @@ class EagerFlowNetwork {
     }
     flow.queued = false;
     flow.paused = false;
-    flow.lastUpdate = sim_.now();
+    flow.seq = nextSeq_++;
     endpoints_[flow.src.index()].uploads.push_back(id);
     endpoints_[flow.dst.index()].downloads.push_back(id);
-    refreshEndpoint(flow.src);
-    if (flow.dst != flow.src) refreshEndpoint(flow.dst);
+    refresh();
     enforceFloorFor(id);
   }
 
@@ -292,14 +360,10 @@ class EagerFlowNetwork {
   void enforceFloorFor(FlowId id) {
     if (floorBps_ <= 0.0) return;
     Flow& flow = flows_.at(id);
-    while (flow.rateBps + kRateEpsilon < floorBps_) {
+    while (fairRate(flow) + kRateEpsilon < floorBps_) {
       const EndpointState& src = endpoints_[flow.src.index()];
       const EndpointState& dst = endpoints_[flow.dst.index()];
-      const double upShare =
-          src.capacity.uploadBps / static_cast<double>(src.uploads.size());
-      const double downShare = dst.capacity.downloadBps /
-                               static_cast<double>(dst.downloads.size());
-      const bool srcBottleneck = upShare <= downShare;
+      const bool srcBottleneck = share(src, kUp) <= share(dst, kDown);
       const std::vector<FlowId>& members =
           srcBottleneck ? src.uploads : dst.downloads;
       FlowId victim = FlowId::invalid();
@@ -313,26 +377,20 @@ class EagerFlowNetwork {
         }
       }
       if (!victim.valid()) break;
-      Flow& victimFlow = flows_.at(victim);
-      const EndpointId vSrc = victimFlow.src;
-      const EndpointId vDst = victimFlow.dst;
-      pauseFlow(victim, victimFlow);
-      refreshEndpoint(vSrc);
-      if (vDst != vSrc) refreshEndpoint(vDst);
+      pauseFlow(victim, flows_.at(victim));
+      refresh();
     }
   }
 
   void pauseFlow(FlowId id, Flow& flow) {
     ++out_.pauses;
-    settle(flow);
-    if (flow.completion.valid()) {
-      sim_.cancel(flow.completion);
-      flow.completion = sim::EventHandle{};
+    if (flow.side != kNone) {
+      flow.work -= clockAt(clockOf(flow, flow.side), sim_.now());
+      flow.side = kNone;
     }
     eraseId(endpoints_[flow.src.index()].uploads, id);
     eraseId(endpoints_[flow.dst.index()].downloads, id);
     flow.paused = true;
-    flow.rateBps = 0.0;
     endpoints_[flow.src.index()].pausedUploads.push_back(id);
     endpoints_[flow.dst.index()].pausedDownloads.push_back(id);
   }
@@ -382,18 +440,20 @@ class EagerFlowNetwork {
     }
   }
 
+  // The head of a group reached its finish tag.
   void finish(FlowId id) {
-    const auto it = flows_.find(id);
-    if (it == flows_.end()) return;
-    settle(it->second);
+    const Flow& flow = flows_.at(id);
+    Clock& c = clockOf(flow, flow.side);
+    c.completion = sim::EventHandle{};
+    c.head = FlowId::invalid();
+    c.due = -1;
     removeFlow(id, /*completed=*/true);
   }
 
   void removeFlow(FlowId id, bool completed) {
     const auto it = flows_.find(id);
-    Flow flow = std::move(it->second);
+    const Flow flow = it->second;
     flows_.erase(it);
-    if (flow.completion.valid()) sim_.cancel(flow.completion);
 
     if (flow.queued) {
       auto& queue = endpoints_[flow.src.index()].uploadQueue;
@@ -418,8 +478,7 @@ class EagerFlowNetwork {
     promoteQueued(flow.src);
     resumePaused(flow.src);
     if (flow.dst != flow.src) resumePaused(flow.dst);
-    refreshEndpoint(flow.src);
-    if (flow.dst != flow.src) refreshEndpoint(flow.dst);
+    refresh();
     if (completed) out_.completions.emplace_back(sim_.now(), id.value());
   }
 
@@ -428,6 +487,7 @@ class EagerFlowNetwork {
   std::vector<EndpointState> endpoints_;
   std::unordered_map<FlowId, Flow> flows_;
   std::uint32_t nextFlowId_ = 1;
+  std::uint64_t nextSeq_ = 0;
   double floorBps_ = 0.0;
 };
 

@@ -597,16 +597,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotBodyFuzz,
 // that does not exist, which each factory must catch in onRestored() — the
 // restore fails naming the component and kind, instead of writing through
 // the word (probe timers), dereferencing a missing pool entry (deadlines,
-// timeouts, flow completions), or reading past the presence array when the
-// event fires (delivery stages). A restore that wrongly succeeds runs on to
-// the horizon, so a word read only at fire time crashes here too.
+// timeouts), indexing past the endpoints (flow group completions), or
+// reading past the presence array when the event fires (delivery stages).
+// A kind the component no longer schedules fails the same way. A restore
+// that wrongly succeeds runs on to the horizon, so a word read only at fire
+// time crashes here too.
 namespace snapshot_fuzz {
 
 // How the chosen pending event's tag is pointed at missing state.
 enum class Rewrite : std::uint8_t {
   kArgumentPastCatalog,  // a = a user or video id past the catalog
   kWatchIdScrambled,     // a = a transfer watch id no pool entry holds
-  kFlowIdPastPool,       // a = a flow id past the flow pool
+  // A flow group's completion turned into the per-flow finish event that
+  // format v2 scheduled (kind 0, a = a flow id): that kind is retired.
+  kRetiredFlowFinish,
   // A probe turned into a goodbye addressed to a user past the catalog:
   // wrapStage() reads the receiver's presence flag.
   kGoodbyeToNobody,
@@ -621,8 +625,10 @@ void applyRewrite(Rewrite rewrite, sim::EventTag* tag) {
     case Rewrite::kWatchIdScrambled:
       tag->a ^= 0x5a5a0000;
       return;
-    case Rewrite::kFlowIdPastPool:
-      tag->a = 0xfffffff0;
+    case Rewrite::kRetiredFlowFinish:
+      tag->kind = 0;
+      tag->a = 1;
+      tag->b = 0;
       return;
     case Rewrite::kGoodbyeToNobody:
       tag->kind = core::SocialTubeSystem::kGoodbyeEvent;
@@ -747,8 +753,12 @@ INSTANTIATE_TEST_SUITE_P(
             snapshot_fuzz::Rewrite::kWatchIdScrambled},
         snapshot_fuzz::TagCorruption{
             "FlowId", exp::SystemKind::kSocialTube, 0, sim::Component::kFlow,
-            net::FlowNetwork::kFinishEvent,
-            snapshot_fuzz::Rewrite::kFlowIdPastPool},
+            net::FlowNetwork::kGroupEvent,
+            snapshot_fuzz::Rewrite::kRetiredFlowFinish},
+        snapshot_fuzz::TagCorruption{
+            "FlowGroupEndpoint", exp::SystemKind::kSocialTube, 0,
+            sim::Component::kFlow, net::FlowNetwork::kGroupEvent,
+            snapshot_fuzz::Rewrite::kArgumentPastCatalog},
         snapshot_fuzz::TagCorruption{
             "DeliveryStageReceiver", exp::SystemKind::kSocialTube, 0,
             sim::Component::kSocialTube, core::SocialTubeSystem::kProbeEvent,
@@ -935,6 +945,91 @@ TEST(SnapshotBodyIdFuzz, CachedVideo) {
   snapshot_fuzz::expectBodyIdRefused(
       exp::SystemKind::kNetTube, snapshot_fuzz::BodyId::kNetTubeCachedVideo,
       "cached video");
+}
+
+// The FLOW section's group records: each flow's group placement and each
+// endpoint's two group clocks. A placement a save never writes (an open
+// batch's pending mark, or none for an active flow) and a clock whose share
+// is negative or whose pending share change predates its base must fail
+// the restore by name. A restore that wrongly succeeds runs on to the
+// horizon, where the flow solver uses them.
+namespace snapshot_fuzz {
+
+enum class FlowGroupField : std::uint8_t {
+  kPlacePending,      // an active flow's placement := the pending mark
+  kPlaceDropped,      // an active flow's placement := none
+  kNegativeShare,     // endpoint 0's upload clock share := -1
+  kChangeBeforeBase,  // endpoint 0's upload clock base := after its change
+};
+
+void expectFlowGroupRefused(FlowGroupField field, const std::string& what) {
+  // A flow record: id, src, dst (u32 each), placement (u8), finish tag,
+  // join sequence, total bytes (u64 each), class, queued, paused (u8 each)
+  // and the 40-byte completion tag.
+  constexpr std::size_t kRecordBytes = 4 * 3 + 1 + 8 * 3 + 3 + 40;
+  std::vector<std::uint8_t> mutant = donorBytes();
+  Cursor c = Cursor::atSection(mutant, 0x574f4c46);  // "FLOW"
+  const std::uint64_t flows = c.read(8);
+  const std::size_t records = c.at;
+  const auto write = [&](std::size_t at, std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      mutant.at(at + i) = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  };
+  if (field == FlowGroupField::kPlacePending ||
+      field == FlowGroupField::kPlaceDropped) {
+    std::size_t place = 0;
+    for (std::uint64_t i = 0; i < flows && place == 0; ++i) {
+      const std::size_t at = records + i * kRecordBytes + 12;
+      if (mutant.at(at) != 0) place = at;
+    }
+    ASSERT_NE(place, 0u) << "donor holds no flow in a group";
+    mutant[place] = field == FlowGroupField::kPlacePending ? 3 : 0;
+  } else {
+    c.skip(flows * kRecordBytes);
+    c.skip(8);                                  // endpoint count
+    for (int list = 0; list < 6; ++list) c.skipList(4);
+    const std::size_t clock = c.at;             // v0, t0, s0, t1
+    if (field == FlowGroupField::kNegativeShare) {
+      write(clock + 16, std::bit_cast<std::uint64_t>(-1.0));
+    } else {
+      write(clock + 8, std::uint64_t{1} << 50);  // t0 far past t1
+    }
+  }
+  fixupHeader(&mutant);
+
+  const exp::ExperimentConfig config = tinyConfig();
+  const auto run = st::testing::makeRun(config, exp::SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  std::string error;
+  const bool ok = restoreBytes(*run, mutant, &error);
+  if (ok) run->simulator().runUntil(config.duration);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+}  // namespace snapshot_fuzz
+
+TEST(SnapshotFlowGroupFuzz, PendingPlacement) {
+  snapshot_fuzz::expectFlowGroupRefused(
+      snapshot_fuzz::FlowGroupField::kPlacePending, "flow record out of range");
+}
+
+TEST(SnapshotFlowGroupFuzz, ActiveFlowOutsideAnyGroup) {
+  snapshot_fuzz::expectFlowGroupRefused(
+      snapshot_fuzz::FlowGroupField::kPlaceDropped, "flow record out of range");
+}
+
+TEST(SnapshotFlowGroupFuzz, NegativeGroupShare) {
+  snapshot_fuzz::expectFlowGroupRefused(
+      snapshot_fuzz::FlowGroupField::kNegativeShare,
+      "flow group clock out of range");
+}
+
+TEST(SnapshotFlowGroupFuzz, GroupShareChangeBeforeItsBase) {
+  snapshot_fuzz::expectFlowGroupRefused(
+      snapshot_fuzz::FlowGroupField::kChangeBeforeBase,
+      "flow group clock out of range");
 }
 
 // Payloads in the CTXT pool carry id lists that the consuming handler

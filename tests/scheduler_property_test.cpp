@@ -9,13 +9,14 @@
 //    per-key sequence) assigned per enqueue — including the re-enqueue of a
 //    periodic series after each fire, which stamps from its owner key;
 //  * cancel is exact and immediate (stale handles are no-ops);
-//  * retimeTagged is cancel + a fresh tagged schedule from the current key,
-//    whichever way the simulator carries it out;
+//  * retimeTagged is cancel + a fresh tagged schedule from the current key
+//    onto the given owner key, whichever way the simulator carries it out;
 //  * the clock never moves backwards and equals the firing event's time.
 //
 // The community-plan variant spreads events over 9 keys on 4 shards, so a
-// re-time from the root key meets live one-shots on its own shard (moved in
-// place when the tag is unchanged), on other shards (cancel + schedule),
+// re-time from the root key meets live one-shots that keep their owner's
+// shard (moved in place when the tag is unchanged, whatever shard the root
+// key is on), ones moved to another shard's key (cancel + schedule),
 // periodic series, and stale handles. The factory's rebuild count pins
 // which of those built a closure.
 #include <gtest/gtest.h>
@@ -262,12 +263,18 @@ RetimeTally runRandomSequence(std::uint64_t seed, int ops,
         const SimTime delay = static_cast<SimTime>(rng.uniformInt(50));
         const int tag =
             (t.tag >= 0 && rng.uniformInt(2) == 0) ? t.tag : nextTag++;
+        // Usually the event keeps its owner, as a flow group's completion
+        // does; otherwise it moves to a random key.
+        const std::uint32_t owner = rng.uniformInt(4) != 0
+                                        ? model.owner(t.modelId)
+                                        : randomKey();
         bool inPlace = false;
         if (!model.alive(t.modelId)) {
           ++tally.stale;
         } else if (model.isPeriodic(t.modelId)) {
           ++tally.periodic;
-        } else if (plan.shardOf(model.owner(t.modelId)) != plan.shardOf(0)) {
+        } else if (plan.shardOf(model.owner(t.modelId)) !=
+                   plan.shardOf(owner)) {
           ++tally.crossShard;
         } else if (tag != t.tag) {
           ++tally.retagged;
@@ -277,9 +284,9 @@ RetimeTally runRandomSequence(std::uint64_t seed, int ops,
         }
         // Only an in-place move keeps its closure.
         if (!inPlace) ++expectedRebuilds;
-        t.handle = sim.retimeTagged(t.handle, delay, recordTag(tag));
+        t.handle = sim.retimeTagged(t.handle, delay, recordTag(tag), owner);
         model.cancel(t.modelId);
-        t.modelId = model.add(sim.now() + delay, tag, 0, 0, 0);
+        t.modelId = model.add(sim.now() + delay, tag, 0, 0, owner);
         t.tag = tag;
         break;
       }

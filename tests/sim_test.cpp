@@ -261,7 +261,7 @@ TEST(Simulator, ManyEventsStressOrdering) {
   EXPECT_EQ(sim.eventsFired(), 10000u);
 }
 
-// --- retimeTagged: exactly cancel + scheduleTagged ---------------------------
+// --- retimeTagged: exactly cancel + scheduleForKeyTagged --------------------
 
 // Tagged events append tag.a to `log`; counts the closures it builds.
 class LogFactory : public EventFactory {
@@ -298,7 +298,7 @@ class RetimeTest : public ::testing::Test {
 TEST_F(RetimeTest, InPlaceKeepsTheHandleAndTheClosure) {
   const EventHandle handle = at(10, 1);
   EXPECT_EQ(factory_.rebuilds, 1);
-  const EventHandle moved = sim_.retimeTagged(handle, 30, tag(1));
+  const EventHandle moved = sim_.retimeTagged(handle, 30, tag(1), 0);
   EXPECT_EQ(moved, handle);
   EXPECT_EQ(factory_.rebuilds, 1);  // unchanged tag: no rebuild
   EXPECT_EQ(sim_.pendingEvents(), 1u);
@@ -311,7 +311,7 @@ TEST_F(RetimeTest, InPlaceKeepsTheHandleAndTheClosure) {
 
 TEST_F(RetimeTest, ANewTagSchedulesAfresh) {
   const EventHandle handle = at(10, 1);
-  const EventHandle retagged = sim_.retimeTagged(handle, 5, tag(2));
+  const EventHandle retagged = sim_.retimeTagged(handle, 5, tag(2), 0);
   EXPECT_NE(retagged, handle);
   EXPECT_EQ(factory_.rebuilds, 2);
   EXPECT_EQ(sim_.pendingEvents(), 1u);
@@ -326,8 +326,8 @@ TEST_F(RetimeTest, MovesEarlierAndLaterFireInOrder) {
   at(20, 2);
   const EventHandle c = at(30, 3);
   at(40, 4);
-  sim_.retimeTagged(c, 5, tag(3));   // earlier than everything
-  sim_.retimeTagged(a, 25, tag(1));  // past event 2
+  sim_.retimeTagged(c, 5, tag(3), 0);   // earlier than everything
+  sim_.retimeTagged(a, 25, tag(1), 0);  // past event 2
   EXPECT_EQ(sim_.pendingEvents(), 4u);
   sim_.run();
   EXPECT_EQ(log_, (std::vector<std::uint64_t>{3, 2, 1, 4}));
@@ -338,7 +338,7 @@ TEST_F(RetimeTest, SameInstantOrderFollowsTheFreshStamp) {
   // instant that is already taken, it fires after the event already there.
   const EventHandle a = at(10, 1);
   at(10, 2);
-  sim_.retimeTagged(a, 10, tag(1));
+  sim_.retimeTagged(a, 10, tag(1), 0);
   sim_.run();
   EXPECT_EQ(log_, (std::vector<std::uint64_t>{2, 1}));
 }
@@ -346,7 +346,7 @@ TEST_F(RetimeTest, SameInstantOrderFollowsTheFreshStamp) {
 TEST_F(RetimeTest, StaleHandleSchedulesAfresh) {
   const EventHandle fired = at(1, 1);
   sim_.run();
-  const EventHandle fresh = sim_.retimeTagged(fired, 5, tag(2));
+  const EventHandle fresh = sim_.retimeTagged(fired, 5, tag(2), 0);
   EXPECT_TRUE(fresh.valid());
   EXPECT_NE(fresh, fired);
   EXPECT_EQ(sim_.pendingEvents(), 1u);
@@ -356,7 +356,7 @@ TEST_F(RetimeTest, StaleHandleSchedulesAfresh) {
 }
 
 TEST_F(RetimeTest, InvalidHandleSchedulesAfresh) {
-  const EventHandle fresh = sim_.retimeTagged(EventHandle{}, 5, tag(7));
+  const EventHandle fresh = sim_.retimeTagged(EventHandle{}, 5, tag(7), 0);
   EXPECT_TRUE(fresh.valid());
   EXPECT_EQ(sim_.pendingEvents(), 1u);
   sim_.run();
@@ -367,7 +367,7 @@ TEST_F(RetimeTest, PeriodicHandleEndsTheSeriesAndSchedulesAOneShot) {
   int ticks = 0;
   const EventHandle series = sim_.schedulePeriodic(10, [&] { ++ticks; });
   sim_.runUntil(15);
-  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(3));
+  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(3), 0);
   EXPECT_NE(oneShot, series);
   EXPECT_EQ(sim_.periodicSeries(), 0u);
   EXPECT_EQ(sim_.pendingEvents(), 1u);
@@ -379,7 +379,7 @@ TEST_F(RetimeTest, PeriodicHandleEndsTheSeriesAndSchedulesAOneShot) {
 TEST_F(RetimeTest, TaggedPeriodicWithItsOwnTagStillEndsTheSeries) {
   const EventHandle series = sim_.schedulePeriodicTagged(10, tag(5));
   sim_.runUntil(15);
-  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(5));
+  const EventHandle oneShot = sim_.retimeTagged(series, 100, tag(5), 0);
   EXPECT_NE(oneShot, series);
   EXPECT_EQ(sim_.periodicSeries(), 0u);
   EXPECT_EQ(sim_.pendingEvents(), 1u);
@@ -395,7 +395,7 @@ TEST_F(RetimeTest, PeriodicRetimingItselfFromItsCallback) {
   EventHandle oneShot;
   int ticks = 0;
   series = sim_.schedulePeriodic(10, [&] {
-    if (++ticks == 2) oneShot = sim_.retimeTagged(series, 5, tag(9));
+    if (++ticks == 2) oneShot = sim_.retimeTagged(series, 5, tag(9), 0);
   });
   at(100, 1);
   sim_.run();
@@ -410,7 +410,8 @@ TEST_F(RetimeTest, OneShotRetimingItsOwnHandleSchedulesAfresh) {
   // A firing one-shot's handle is already stale.
   EventHandle self;
   EventHandle again;
-  self = sim_.schedule(10, [&] { again = sim_.retimeTagged(self, 5, tag(4)); });
+  self = sim_.schedule(10,
+                       [&] { again = sim_.retimeTagged(self, 5, tag(4), 0); });
   sim_.run();
   EXPECT_TRUE(again.valid());
   EXPECT_EQ(log_, (std::vector<std::uint64_t>{4}));
@@ -423,7 +424,7 @@ TEST_F(RetimeTest, PendingEventsStayExactAcrossMixedOperations) {
     handles.push_back(at(static_cast<SimTime>(i * 7 % 50), i));
   }
   for (std::size_t i = 0; i < handles.size(); i += 3) {
-    handles[i] = sim_.retimeTagged(handles[i], 60, tag(i));
+    handles[i] = sim_.retimeTagged(handles[i], 60, tag(i), 0);
   }
   for (std::size_t i = 1; i < handles.size(); i += 4) sim_.cancel(handles[i]);
   EXPECT_EQ(sim_.pendingEvents(), 64u - 16u);
@@ -433,6 +434,46 @@ TEST_F(RetimeTest, PendingEventsStayExactAcrossMixedOperations) {
   sim_.run();
   EXPECT_EQ(log_.size(), 48u);
   EXPECT_EQ(sim_.pendingEvents(), 0u);
+}
+
+// Logs the owner key each tagged event fires under.
+class KeyLogFactory : public EventFactory {
+ public:
+  explicit KeyLogFactory(Simulator& sim) : sim_(sim) {}
+  [[nodiscard]] Callback rebuild(const EventTag&) override {
+    ++rebuilds;
+    return [this] { keys.push_back(sim_.currentKey()); };
+  }
+  std::vector<std::uint32_t> keys;
+  int rebuilds = 0;
+
+ private:
+  Simulator& sim_;
+};
+
+// An event owned by a fixed key, as a flow group's completion is owned by
+// its endpoint's community, moves in place whichever community re-times
+// it, keeps firing under its owner, and is not a cross-shard post even
+// below the lookahead floor.
+TEST(RetimeOwner, ReTimeFromAnotherCommunityMovesInPlace) {
+  Simulator sim;
+  ASSERT_TRUE(sim.configureShards(
+      ShardPlan{.keyCount = 5, .shardCount = 4, .lookahead = 10}));
+  KeyLogFactory factory(sim);
+  sim.registerFactory(Component::kSession, &factory);
+  const EventTag owned = makeTag(Component::kSession, /*kind=*/0, 1);
+  const EventHandle handle = sim.scheduleForKeyTagged(2, 100, owned);
+  EventHandle moved;
+  sim.scheduleForKey(1, 20,
+                     [&] { moved = sim.retimeTagged(handle, 0, owned, 2); });
+  const std::uint64_t setupPosts = sim.crossShardPosts();
+  sim.run();
+  EXPECT_EQ(moved, handle);
+  EXPECT_EQ(factory.rebuilds, 1);
+  EXPECT_EQ(factory.keys, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(sim.now(), 20);
+  EXPECT_EQ(sim.crossShardPosts(), setupPosts);
+  EXPECT_EQ(sim.crossBelowFloor(), 0u);
 }
 
 TEST(SimTimeConversions, RoundTrip) {

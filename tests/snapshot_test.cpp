@@ -307,6 +307,25 @@ TEST_F(SnapshotMismatch, RefusesDroppingTheTraceSink) {
   EXPECT_NE(error.find("trace"), std::string::npos) << error;
 }
 
+// A save time before the file's clock would fire in the past and pull the
+// restored clock back, so the restore is refused, naming the flag and both
+// times.
+TEST_F(SnapshotMismatch, RefusesASaveTimeBeforeTheFilesClock) {
+  ExperimentConfig config = smallConfig(37);
+  const std::string path = makeSnapshot(config);  // saved at duration / 2
+  config.snapshot.out = snapshotPath("resave");
+  config.snapshot.at = config.duration / 4;
+  const std::string error = refusal(path, config, SystemKind::kSocialTube);
+  EXPECT_NE(error.find("--snapshot-at " +
+                       std::to_string(config.snapshot.at / sim::kSecond) +
+                       " s precedes the file's clock, " +
+                       std::to_string(config.duration / 2 / sim::kSecond) +
+                       " s"),
+            std::string::npos)
+      << error;
+  std::remove(config.snapshot.out.c_str());
+}
+
 // --- File errors end the run, not the process ---------------------------------
 
 // A snapshot file that cannot be read or written comes back as the run's
@@ -407,6 +426,16 @@ TEST(GoldenSnapshot, V1FileIsRefusedByVersion) {
   std::string error;
   EXPECT_FALSE(run->restore(goldenPath(1), &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+}
+
+// Version 2 kept a byte ledger and a pending finish event per flow; a
+// version-2 file is refused by its header too.
+TEST(GoldenSnapshot, V2FileIsRefusedByVersion) {
+  const auto run = makeRun(goldenConfig(), SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  std::string error;
+  EXPECT_FALSE(run->restore(goldenPath(2), &error));
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
 }  // namespace
