@@ -91,12 +91,4 @@ void printCounters(const ExperimentResult& result) {
       result.serverRegistrations.max(), result.redundantLinks.mean());
 }
 
-void printPhases(const ExperimentResult& result) {
-  std::printf("%s phases:", result.system.c_str());
-  for (const obs::Phase& phase : result.phases) {
-    std::printf(" %s=%.1fms", phase.name.c_str(), phase.ms);
-  }
-  std::printf("\n");
-}
-
 }  // namespace st::exp

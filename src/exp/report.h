@@ -34,7 +34,4 @@ void printMaintenance(const std::vector<ExperimentResult>& results);
 // derived rates (rebuffer rate, upload Gini, server-state peak).
 void printCounters(const ExperimentResult& result);
 
-// Wall-clock phase breakdown of a run (trace_gen/setup/event_loop/extract).
-void printPhases(const ExperimentResult& result);
-
 }  // namespace st::exp

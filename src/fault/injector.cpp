@@ -419,10 +419,7 @@ void Injector::saveState(snapshot::Writer& w) const {
   const FaultEvent* base = schedule_.events().data();
   w.u64(schedule_.events().size());
   w.boolean(armed_);
-  const Rng::State rng = rng_.state();
-  for (const std::uint64_t word : rng.s) w.u64(word);
-  w.f64(rng.spareNormal);
-  w.boolean(rng.hasSpareNormal);
+  snapshot::saveRngState(w, rng_.state());
   w.u64(blackholed_.size());
   for (const std::uint16_t count : blackholed_) w.u16(count);
   w.u32(blackholedUsers_);
@@ -464,10 +461,7 @@ bool Injector::loadState(snapshot::Reader& r) {
     return false;
   }
   const bool armed = r.boolean();
-  Rng::State rng;
-  for (std::uint64_t& word : rng.s) word = r.u64();
-  rng.spareNormal = r.f64();
-  rng.hasSpareNormal = r.boolean();
+  const Rng::State rng = snapshot::loadRngState(r);
   const std::size_t users = r.count(2);
   if (!r.ok() || users != blackholed_.size()) {
     r.fail("fault injector user count mismatch");

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <tuple>
-#include <unordered_set>
 
 namespace st::net {
 
@@ -494,6 +494,7 @@ void FlowNetwork::pauseFlow(Slot slot, Flow& flow) {
   eraseSlot(endpoints_[flow.src.index()].uploads, slot);
   eraseSlot(endpoints_[flow.dst.index()].downloads, slot);
   flow.paused = true;
+  flow.seq = nextSeq_++;
   endpoints_[flow.src.index()].pausedUploads.push_back(slot);
   endpoints_[flow.dst.index()].pausedDownloads.push_back(slot);
 }
@@ -658,6 +659,7 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
   struct Abort {
     FlowId id;
     std::uint64_t bytesDone;
+    sim::EventTag completionTag;
   };
   std::vector<Abort> aborts;
   for (const Slot slot : doomed) {
@@ -667,7 +669,8 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
       aborts.push_back(
           {flow->id,
            static_cast<std::uint64_t>(static_cast<double>(flow->totalBytes) -
-                                      remainingBytes(*flow))});
+                                      remainingBytes(*flow)),
+           flow->completionTag});
     }
     removeFlow(slot, /*completed=*/false);
   }
@@ -675,7 +678,7 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
             [](const Abort& a, const Abort& b) { return a.id < b.id; });
   for (const Abort& abort : aborts) {
     for (FlowObserver* observer : observers_) {
-      observer->onFlowAborted(abort.id, abort.bytesDone);
+      observer->onFlowAborted(abort.id, abort.bytesDone, abort.completionTag);
     }
   }
 }
@@ -727,18 +730,6 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
   // Batches never span simulated time, and snapshots are taken between
   // events, so there is nothing deferred to flush here.
   assert(batchDepth_ == 0 && dirtyList_.empty() && pending_.empty());
-  // Membership lists serialize as public flow ids, so translate slot -> id
-  // on the way out; loadState rebuilds the arena and translates back.
-  const auto publicId = [this](Slot slot) {
-    const Flow* flow = flows_.find(slot);
-    assert(flow != nullptr);
-    return flow->id.value();
-  };
-  const auto saveSlotList = [&](const std::vector<Slot>& list) {
-    w.u64(list.size());
-    for (const Slot slot : list) w.u32(publicId(slot));
-  };
-
   std::vector<std::pair<std::uint32_t, Slot>> ids;
   ids.reserve(index_.size());
   for (const auto& [value, slot] : index_) ids.emplace_back(value, slot);
@@ -758,24 +749,10 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
     w.u8(static_cast<std::uint8_t>(flow.flowClass));
     w.boolean(flow.queued);
     w.boolean(flow.paused);
-    w.u8(flow.completionTag.component);
-    w.u8(flow.completionTag.kind);
-    w.u16(flow.completionTag.stage);
-    w.u32(flow.completionTag.a32);
-    w.u64(flow.completionTag.a);
-    w.u64(flow.completionTag.b);
-    w.u64(flow.completionTag.c);
-    w.u64(flow.completionTag.d);
+    snapshot::saveEventTag(w, flow.completionTag);
   }
   w.u64(endpoints_.size());
   for (const EndpointState& state : endpoints_) {
-    saveSlotList(state.uploads);
-    saveSlotList(state.downloads);
-    w.u64(state.uploadQueue.size());
-    for (const Slot slot : state.uploadQueue) w.u32(publicId(slot));
-    saveSlotList(state.queuedInbound);
-    saveSlotList(state.pausedUploads);
-    saveSlotList(state.pausedDownloads);
     // The current share s1 follows from the membership counts.
     for (const Group& group : state.groups) {
       w.i64(group.v0);
@@ -792,27 +769,6 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
   return true;
 }
 
-namespace {
-
-template <typename Container, typename Index>
-bool loadSlotList(snapshot::Reader& r, const Index& index, Container* out) {
-  const std::size_t count = r.count(4);
-  out->clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t id = r.u32();
-    if (!r.ok()) return false;
-    const auto it = index.find(id);
-    if (it == index.end()) {
-      r.fail("endpoint flow list references unknown flow");
-      return false;
-    }
-    out->push_back(it->second);
-  }
-  return true;
-}
-
-}  // namespace
-
 bool FlowNetwork::loadState(snapshot::Reader& r) {
   r.section(0x574f4c46, "flow network");
   const std::size_t flowCount =
@@ -825,8 +781,18 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
   retimeList_.clear();
   for (EndpointState& state : endpoints_) {
     state.dirty = false;
+    state.uploads.clear();
+    state.downloads.clear();
+    state.uploadQueue.clear();
+    state.queuedInbound.clear();
+    state.pausedUploads.clear();
+    state.pausedDownloads.clear();
     for (Group& group : state.groups) group = Group{};
   }
+  // Records come in id order. Queued flows join the wait lists in it;
+  // every other flow waits in `stamped` for the sequence order below.
+  std::vector<Slot> stamped;
+  std::uint32_t lastId = 0;
   for (std::size_t i = 0; i < flowCount; ++i) {
     const FlowId id{r.u32()};
     Flow flow;
@@ -840,14 +806,7 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
     const std::uint8_t flowClass = r.u8();
     flow.queued = r.boolean();
     flow.paused = r.boolean();
-    flow.completionTag.component = r.u8();
-    flow.completionTag.kind = r.u8();
-    flow.completionTag.stage = r.u16();
-    flow.completionTag.a32 = r.u32();
-    flow.completionTag.a = r.u64();
-    flow.completionTag.b = r.u64();
-    flow.completionTag.c = r.u64();
-    flow.completionTag.d = r.u64();
+    flow.completionTag = snapshot::loadEventTag(r);
     if (!r.ok()) return false;
     // Saves happen between batches: every active flow is in a group, and
     // only active flows are.
@@ -856,27 +815,28 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
         flowClass >= kFlowClassCount || (flow.queued && flow.paused) ||
         place > static_cast<std::uint8_t>(Place::kDownload) ||
         idle != (place == static_cast<std::uint8_t>(Place::kNone)) ||
-        flow.totalBytes == 0 || index_.count(id.value()) != 0) {
+        flow.totalBytes == 0 || id.value() <= lastId) {
       r.fail("flow record out of range");
       return false;
     }
+    lastId = id.value();
     flow.place = static_cast<Place>(place);
     flow.flowClass = static_cast<FlowClass>(flowClass);
-    const Slot slot = flows_.insert(std::move(flow));
+    const Slot slot = flows_.insert(flow);
     index_.emplace(id.value(), slot);
+    if (flow.queued) {
+      endpoints_[flow.src.index()].uploadQueue.push_back(slot);
+      endpoints_[flow.dst.index()].queuedInbound.push_back(slot);
+    } else {
+      stamped.push_back(slot);
+    }
   }
-  const std::size_t endpointCount = r.count(6 * 8 + 2 * 4 * 8 + 3 * 8);
+  const std::size_t endpointCount = r.count(2 * 4 * 8 + 3 * 8);
   if (!r.ok() || endpointCount != endpoints_.size()) {
     r.fail("flow network endpoint count mismatch");
     return false;
   }
   for (EndpointState& state : endpoints_) {
-    if (!loadSlotList(r, index_, &state.uploads)) return false;
-    if (!loadSlotList(r, index_, &state.downloads)) return false;
-    if (!loadSlotList(r, index_, &state.uploadQueue)) return false;
-    if (!loadSlotList(r, index_, &state.queuedInbound)) return false;
-    if (!loadSlotList(r, index_, &state.pausedUploads)) return false;
-    if (!loadSlotList(r, index_, &state.pausedDownloads)) return false;
     for (Group& group : state.groups) {
       group.v0 = r.i64();
       group.t0 = r.i64();
@@ -896,42 +856,56 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
   nextFlowId_ = r.u32();
   nextSeq_ = r.u64();
   if (!r.ok()) return false;
-  for (const auto& [value, slot] : index_) {
-    if (value >= nextFlowId_ || flows_.find(slot)->seq >= nextSeq_) {
-      r.fail("flow id collides with the id allocator");
-      return false;
-    }
+  if (lastId >= nextFlowId_) {
+    r.fail("flow id collides with the id allocator");
+    return false;
   }
-  // Each active flow is listed once among its source's uploads and once
-  // among its destination's downloads; the group heaps are rebuilt from
-  // the finish tags of exactly those flows.
-  std::unordered_set<std::uint32_t> listed[2];
-  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-    EndpointState& state = endpoints_[e];
-    for (const std::size_t side : {kUp, kDown}) {
-      for (const Slot slot : side == kUp ? state.uploads : state.downloads) {
-        Flow& flow = *flows_.find(slot);
-        const EndpointId at = side == kUp ? flow.src : flow.dst;
-        if (at.index() != e || !grouped(flow) ||
-            !listed[side].insert(flow.id.value()).second) {
-          r.fail("flow lists out of step with the flow records");
-          return false;
-        }
-      }
-      state.groups[side].s1 = sideShare(state, side);
-    }
-  }
-  for (const auto& [value, slot] : index_) {
+  // Active flows join their lists, and then their groups, in join order
+  // (activate is the lists' only append); paused flows in pause order.
+  const auto seqOf = [this](Slot slot) { return flows_.find(slot)->seq; };
+  std::sort(stamped.begin(), stamped.end(),
+            [&](Slot a, Slot b) { return seqOf(a) < seqOf(b); });
+  for (std::size_t i = 0; i < stamped.size(); ++i) {
+    const Slot slot = stamped[i];
     Flow& flow = *flows_.find(slot);
-    if (!grouped(flow)) continue;
-    if (listed[kUp].count(value) == 0 || listed[kDown].count(value) == 0) {
-      r.fail("flow lists out of step with the flow records");
+    if (flow.seq >= nextSeq_ || (i > 0 && seqOf(stamped[i - 1]) == flow.seq)) {
+      r.fail("flow sequence collides with the allocator or another flow");
       return false;
     }
+    EndpointState& src = endpoints_[flow.src.index()];
+    EndpointState& dst = endpoints_[flow.dst.index()];
+    if (flow.paused) {
+      src.pausedUploads.push_back(slot);
+      dst.pausedDownloads.push_back(slot);
+      continue;
+    }
+    src.uploads.push_back(slot);
+    dst.downloads.push_back(slot);
     Group& group = groupOf(flow);
     group.heap.emplace_back();
     placeMember(group, group.heap.size() - 1,
                 Member{flow.work, flow.seq, slot});
+  }
+  for (EndpointState& state : endpoints_) {
+    for (const std::size_t side : {kUp, kDown}) {
+      state.groups[side].s1 = sideShare(state, side);
+    }
+  }
+  return true;
+}
+
+bool FlowNetwork::checkCompletionTags(snapshot::Reader& r) const {
+  for (const auto& [value, slot] : index_) {
+    const sim::EventTag& tag = flows_.find(slot)->completionTag;
+    if (!tag.tagged()) continue;
+    const sim::EventFactory* factory =
+        sim_.factory(static_cast<sim::Component>(tag.component));
+    if (factory == nullptr || !factory->onRestoredCompletion(tag)) {
+      r.fail("flow completion tag (component " +
+             std::to_string(tag.component) + ", kind " +
+             std::to_string(tag.kind) + ") does not name live state");
+      return false;
+    }
   }
   return true;
 }

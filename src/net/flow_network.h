@@ -90,10 +90,12 @@ class FlowObserver {
                           FlowClass /*flowClass*/) {}
   // dropEndpointFlows aborted an *upload* of the dropped endpoint: the
   // remote downloader lost its provider mid-transfer and `bytesDone` bytes
-  // had been delivered. Fired after the doomed flows are unlinked, so
-  // starting replacement flows from inside the callback is safe (they join
-  // the same batch).
-  virtual void onFlowAborted(FlowId /*id*/, std::uint64_t /*bytesDone*/) {}
+  // had been delivered. `completionTag` is the flow's own (it never fires
+  // now), so its owner is found without a map of its own. Fired after the
+  // doomed flows are unlinked, so starting replacement flows from inside
+  // the callback is safe (they join the same batch).
+  virtual void onFlowAborted(FlowId /*id*/, std::uint64_t /*bytesDone*/,
+                             const sim::EventTag& /*completionTag*/) {}
   // The flow's last byte arrived (fires before the completion tag).
   virtual void onFlowCompleted(FlowId /*id*/) {}
 };
@@ -255,25 +257,31 @@ class FlowNetwork : public sim::EventFactory {
   }
 
   // Checkpoint/restore of the mutable data plane: every live flow (sorted by
-  // id for a canonical byte stream) with its group placement and finish
-  // tag, per-endpoint membership lists verbatim (their order drives the
-  // flip scan and the floor's victim order), each endpoint's two group
-  // clocks, transfer tallies, and the id and join-sequence allocators.
+  // id for a canonical byte stream) with its group placement, finish tag,
+  // sequence stamp and completion tag, each endpoint's two group clocks and
+  // transfer tallies, and the id and sequence allocators. Nothing about
+  // membership is saved: loadState rebuilds the per-endpoint lists in the
+  // order their only appends give them (queued flows by id, active flows
+  // by join sequence, paused flows by pause sequence), then the group
+  // heaps from the finish tags and the shares from the list sizes.
   // Static configuration (capacities, owner keys, limits, policies, floor,
   // observers) is re-applied by the experiment setup before restore.
-  // Group heaps are rebuilt from the tags; completion EventHandles are
-  // re-stored by onRestored() while the simulator queue loads (after this),
-  // so loadState leaves them invalid. Membership lists serialize as public
-  // flow ids, so the internal pool layout never leaks into the snapshot.
+  // Completion EventHandles are re-stored by onRestored() while the
+  // simulator queue loads (after this), so loadState leaves them invalid.
   bool saveState(snapshot::Writer& w, std::string* error) const;
   bool loadState(snapshot::Reader& r);
+  // Once every section is loaded: each tagged flow's completion tag must
+  // pass its component's EventFactory::onRestoredCompletion, or `r` fails
+  // naming the component and kind. Untagged completions stay legal.
+  bool checkCompletionTags(snapshot::Reader& r) const;
 
  private:
   struct Flow;
   // Internal generation-stamped arena handle (util::SlotPool). Membership
   // lists and group heaps store these, so the drain is index arithmetic +
   // one generation compare per flow — no hashing. Public FlowIds map to
-  // slots through index_ exactly once per public-API call.
+  // slots through index_ exactly once per public-API call. Removals keep
+  // every list's order, which loadState relies on.
   using Slot = SlotPool<Flow>::Id;
   // Bytes of work in integer units of 1/1024 byte. Group clocks and finish
   // tags are integers, so F - V is exact and a flow that flips between
@@ -294,7 +302,9 @@ class FlowNetwork : public sim::EventFactory {
     // In a group: the finish tag F on the group's clock. Otherwise the
     // remaining work.
     Work work = 0;
-    // Activation order: ties between equal finish tags go to the earlier.
+    // Stamped from nextSeq_ on activation (ties between equal finish tags
+    // go to the earlier) and again on a pause (a paused flow is in no heap,
+    // and the stamp orders the paused lists).
     std::uint64_t seq = 0;
     std::uint64_t totalBytes = 0;
     std::uint32_t heapPos = 0;     // index in the group's heap

@@ -107,20 +107,14 @@ class Network {
   // stream is the only mutable message-plane state besides the counters.
   void saveState(snapshot::Writer& w) const {
     w.section(0x5754454e);  // "NETW"
-    const Rng::State rng = rng_.state();
-    for (const std::uint64_t word : rng.s) w.u64(word);
-    w.f64(rng.spareNormal);
-    w.boolean(rng.hasSpareNormal);
+    snapshot::saveRngState(w, rng_.state());
     w.u64(messagesSent_);
     w.u64(messagesLost_);
     w.u64(messagesFaulted_);
   }
   bool loadState(snapshot::Reader& r) {
     r.section(0x5754454e, "network");
-    Rng::State rng;
-    for (std::uint64_t& word : rng.s) word = r.u64();
-    rng.spareNormal = r.f64();
-    rng.hasSpareNormal = r.boolean();
+    const Rng::State rng = snapshot::loadRngState(r);
     messagesSent_ = r.u64();
     messagesLost_ = r.u64();
     messagesFaulted_ = r.u64();

@@ -109,6 +109,10 @@ inline constexpr std::uint32_t hi32(std::uint64_t word) {
 // may only capture tag words, and onRestored() range-checks every word the
 // event will index with, returning false when the tag does not name live
 // state (the restore then fails instead of writing out of bounds).
+// onRestoredCompletion() is the same check for a tag that a restored record
+// holds instead of the queue (a flow's completion tag, invoked when its last
+// byte lands); it runs once every section is loaded, and components that
+// never hand out such tags refuse them all.
 class EventFactory {
  public:
   virtual ~EventFactory() = default;
@@ -116,6 +120,10 @@ class EventFactory {
   virtual void discard(const EventTag& tag) { (void)tag; }
   [[nodiscard]] virtual bool onRestored(const EventTag& tag,
                                         EventHandle handle);
+  [[nodiscard]] virtual bool onRestoredCompletion(const EventTag& tag) const {
+    (void)tag;
+    return false;
+  }
 };
 
 }  // namespace st::sim

@@ -591,14 +591,7 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
     w.u64(p.entry.stamp);
     w.u32(p.destKey);
     w.i64(p.period);
-    w.u8(p.tag.component);
-    w.u8(p.tag.kind);
-    w.u16(p.tag.stage);
-    w.u32(p.tag.a32);
-    w.u64(p.tag.a);
-    w.u64(p.tag.b);
-    w.u64(p.tag.c);
-    w.u64(p.tag.d);
+    snapshot::saveEventTag(w, p.tag);
   }
   return true;
 }
@@ -635,21 +628,12 @@ bool Simulator::loadState(snapshot::Reader& r) {
     const std::uint64_t stamp = r.u64();
     const std::uint32_t destKey = r.u32();
     const SimTime period = r.i64();
-    EventTag tag;
-    tag.component = r.u8();
-    tag.kind = r.u8();
-    tag.stage = r.u16();
-    tag.a32 = r.u32();
-    tag.a = r.u64();
-    tag.b = r.u64();
-    tag.c = r.u64();
-    tag.d = r.u64();
+    const EventTag tag = snapshot::loadEventTag(r);
     if (!r.ok()) return false;
     const auto stampKey = static_cast<std::uint32_t>(stamp >> kKeySeqBits);
     if (when < now_ || period < 0 || destKey >= plan_.keyCount ||
         stampKey >= plan_.keyCount ||
-        (stamp & kKeySeqMask) >= keySeq_[stampKey] ||
-        tag.component >= kComponentCount || !tag.tagged()) {
+        (stamp & kKeySeqMask) >= keySeq_[stampKey] || !tag.tagged()) {
       r.fail("pending event out of range");
       return false;
     }

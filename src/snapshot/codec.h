@@ -32,17 +32,20 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/event_tag.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace st::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x4e535453;  // "STSN"
-// Version 3: the FLOW section holds processor-sharing groups (per-flow
-// finish tags and placement, two virtual clocks per endpoint) and the
-// queue holds one completion event per group. Version 2 (per-flow byte
-// ledgers and finish events) and version 1 (a separate unsharded queue
-// section) are refused.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// Version 4: sections store records only. FLOW drops the per-endpoint
+// membership lists, XFER the flow-to-watch map and the per-user prefetch
+// tallies, SESS the per-user online flag; loaders rebuild each from the
+// records. Version 3 (the first processor-sharing FLOW section), version 2
+// (per-flow byte ledgers and finish events) and version 1 (a separate
+// unsharded queue section) are refused.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::uint64_t kMaxSnapshotBytes = 1ull << 32;
 
 namespace detail {
@@ -348,6 +351,53 @@ inline RunningStats loadRunningStats(Reader& r) {
   RunningStats stats;
   stats.setState(s);
   return stats;
+}
+
+// An Rng stream position: the four state words, then the Box-Muller spare
+// and its flag.
+inline void saveRngState(Writer& w, const Rng::State& s) {
+  for (const std::uint64_t word : s.s) w.u64(word);
+  w.f64(s.spareNormal);
+  w.boolean(s.hasSpareNormal);
+}
+
+inline Rng::State loadRngState(Reader& r) {
+  Rng::State s;
+  for (std::uint64_t& word : s.s) word = r.u64();
+  s.spareNormal = r.f64();
+  s.hasSpareNormal = r.boolean();
+  return s;
+}
+
+// A 40-byte EventTag, field by field in member order.
+inline void saveEventTag(Writer& w, const sim::EventTag& tag) {
+  w.u8(tag.component);
+  w.u8(tag.kind);
+  w.u16(tag.stage);
+  w.u32(tag.a32);
+  w.u64(tag.a);
+  w.u64(tag.b);
+  w.u64(tag.c);
+  w.u64(tag.d);
+}
+
+// Fails, naming the component and kind, when the component id is past the
+// last one: no factory can hold such a tag.
+inline sim::EventTag loadEventTag(Reader& r) {
+  sim::EventTag tag;
+  tag.component = r.u8();
+  tag.kind = r.u8();
+  tag.stage = r.u16();
+  tag.a32 = r.u32();
+  tag.a = r.u64();
+  tag.b = r.u64();
+  tag.c = r.u64();
+  tag.d = r.u64();
+  if (r.ok() && tag.component >= sim::kComponentCount) {
+    r.fail("event tag (component " + std::to_string(tag.component) +
+           ", kind " + std::to_string(tag.kind) + ") names no component");
+  }
+  return tag;
 }
 
 }  // namespace st::snapshot

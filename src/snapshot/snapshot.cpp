@@ -179,6 +179,11 @@ bool restore(const std::string& path, const Participants& p,
   const RunningStats sample = loadRunningStats(r);
   if (!r.ok()) return failOut(error, readerError(r));
   *p.serverSample = sample;
+  // Every component is loaded, so each flow's completion tag can be checked
+  // against the state it will be invoked on.
+  if (!p.network->flows().checkCompletionTags(r)) {
+    return failOut(error, readerError(r));
+  }
 
   if (!p.sim->loadState(r)) return failOut(error, readerError(r));
   if (!r.atEnd()) {

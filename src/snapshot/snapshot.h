@@ -13,9 +13,12 @@
 // environment fingerprint (Compat), and every section before any state is
 // applied *per component*; a component whose section fails leaves the
 // Reader in a sticky error state and restore() reports it without running
-// the simulator. The simulator queue loads LAST so every component factory
-// is registered and fully restored before callbacks are rebuilt and
-// EventFactory::onRestored re-stores timer/deadline handles.
+// the simulator. Once every component section is loaded, each flow's
+// completion tag is checked against its component's restored state
+// (EventFactory::onRestoredCompletion). The simulator queue loads LAST so
+// every component factory is registered and fully restored before
+// callbacks are rebuilt and EventFactory::onRestored re-stores
+// timer/deadline handles.
 //
 // After a successful restore the caller must NOT re-run the fresh-start
 // scheduling (exp::Run::start): every pending event comes from the file.

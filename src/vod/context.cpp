@@ -160,10 +160,7 @@ bool SystemContext::validPayload(std::uint64_t id, std::size_t uLimit,
 
 void SystemContext::saveState(snapshot::Writer& w) const {
   w.section(0x54585443);  // "CTXT"
-  const Rng::State rng = rng_.state();
-  for (const std::uint64_t word : rng.s) w.u64(word);
-  w.f64(rng.spareNormal);
-  w.boolean(rng.hasSpareNormal);
+  snapshot::saveRngState(w, rng_.state());
   w.u64(online_.size());
   for (const char flag : online_) w.boolean(flag != 0);
   for (const sim::SimTime since : offlineSince_) w.i64(since);
@@ -184,10 +181,7 @@ void SystemContext::saveState(snapshot::Writer& w) const {
 
 bool SystemContext::loadState(snapshot::Reader& r) {
   r.section(0x54585443, "system context");
-  Rng::State rng;
-  for (std::uint64_t& word : rng.s) word = r.u64();
-  rng.spareNormal = r.f64();
-  rng.hasSpareNormal = r.boolean();
+  const Rng::State rng = snapshot::loadRngState(r);
   const std::size_t users = r.count(1 + 8);
   if (!r.ok() || users != online_.size()) {
     r.fail("context user count mismatch");

@@ -61,20 +61,14 @@ void ReleaseManager::release(VideoId video) {
 
 void ReleaseManager::saveState(snapshot::Writer& w) const {
   w.section(0x534c4552);  // "RELS"
-  const Rng::State rng = rng_.state();
-  for (const std::uint64_t word : rng.s) w.u64(word);
-  w.f64(rng.spareNormal);
-  w.boolean(rng.hasSpareNormal);
+  snapshot::saveRngState(w, rng_.state());
   w.u64(releasesFired_);
   w.u64(feedNotifications_);
 }
 
 bool ReleaseManager::loadState(snapshot::Reader& r) {
   r.section(0x534c4552, "release manager");
-  Rng::State rng;
-  for (std::uint64_t& word : rng.s) word = r.u64();
-  rng.spareNormal = r.f64();
-  rng.hasSpareNormal = r.boolean();
+  const Rng::State rng = snapshot::loadRngState(r);
   const std::uint64_t fired = r.u64();
   const std::uint64_t notified = r.u64();
   if (!r.ok()) return false;

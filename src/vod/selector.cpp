@@ -186,12 +186,7 @@ VideoId VideoSelector::nextVideo(UserId user, VideoId current) {
 void VideoSelector::saveState(snapshot::Writer& w) const {
   w.section(0x4354454c);  // "LETC" — selector
   w.u64(userRngs_.size());
-  for (const Rng& rng : userRngs_) {
-    const Rng::State state = rng.state();
-    for (const std::uint64_t word : state.s) w.u64(word);
-    w.f64(state.spareNormal);
-    w.boolean(state.hasSpareNormal);
-  }
+  for (const Rng& rng : userRngs_) snapshot::saveRngState(w, rng.state());
   for (const auto& seen : watched_) {
     w.u64(seen.size());
     for (const VideoId video : seen) w.u32(video.value());
@@ -211,11 +206,7 @@ bool VideoSelector::loadState(snapshot::Reader& r) {
     return false;
   }
   std::vector<Rng::State> rngs(userCount);
-  for (Rng::State& state : rngs) {
-    for (std::uint64_t& word : state.s) word = r.u64();
-    state.spareNormal = r.f64();
-    state.hasSpareNormal = r.boolean();
-  }
+  for (Rng::State& state : rngs) state = snapshot::loadRngState(r);
   std::vector<std::vector<VideoId>> watched(userCount);
   for (auto& seen : watched) {
     const std::size_t n = r.count(4);

@@ -67,11 +67,10 @@ void SessionDriver::start() {
 }
 
 void SessionDriver::login(UserId user) {
-  UserState& state = users_[user.index()];
   // Idempotent: a rejoin fault can bring the user back before their
   // scheduled next login fires; the superseded login must be a no-op.
-  if (state.online) return;
-  state.online = true;
+  if (ctx_.isOnline(user)) return;
+  UserState& state = users_[user.index()];
   state.videosThisSession = 0;
   state.currentVideo = VideoId::invalid();
   ctx_.setOnline(user, true);
@@ -94,7 +93,8 @@ void SessionDriver::requestNext(UserId user) {
 void SessionDriver::onPlaybackReady(UserId user, VideoId video,
                                     sim::SimTime delay, bool timedOut) {
   UserState& state = users_[user.index()];
-  if (!state.online || video != state.currentVideo) return;  // stale event
+  // A stale event: the user left, or moved on to another video.
+  if (!ctx_.isOnline(user) || video != state.currentVideo) return;
   if (timedOut) {
     ctx_.metrics().recordStartupTimeout();
     // The user gave up on this video; move on after a short pause.
@@ -119,7 +119,7 @@ void SessionDriver::onPlaybackReady(UserId user, VideoId video,
 
 void SessionDriver::onPlaybackComplete(UserId user, VideoId video) {
   UserState& state = users_[user.index()];
-  if (!state.online || video != state.currentVideo) return;
+  if (!ctx_.isOnline(user) || video != state.currentVideo) return;
   system_.onPlaybackComplete(user, video);
   ++state.videosThisSession;
   ++videosWatched_;
@@ -134,14 +134,14 @@ void SessionDriver::onPlaybackComplete(UserId user, VideoId video) {
 }
 
 void SessionDriver::logout(UserId user) {
-  assert(users_[user.index()].online);
+  assert(ctx_.isOnline(user));
   const bool graceful = !userRngs_[user.index()].bernoulli(
       ctx_.config().abruptDepartureFraction);
   endSession(user, graceful);
 }
 
 void SessionDriver::crashUser(UserId user) {
-  if (!users_[user.index()].online) return;
+  if (!ctx_.isOnline(user)) return;
   // No RNG draw here: the graceful/abrupt stream stays aligned with the
   // fault-free run for every session the injector does not touch.
   endSession(user, /*graceful=*/false);
@@ -149,15 +149,14 @@ void SessionDriver::crashUser(UserId user) {
 
 void SessionDriver::rejoinUser(UserId user) {
   const UserState& state = users_[user.index()];
-  if (state.online) return;
+  if (ctx_.isOnline(user)) return;
   if (state.sessionsDone >= ctx_.config().sessionsPerUser) return;
   login(user);
 }
 
 void SessionDriver::endSession(UserId user, bool graceful) {
   UserState& state = users_[user.index()];
-  assert(state.online);
-  state.online = false;
+  assert(ctx_.isOnline(user));
   ctx_.setOnline(user, false);
   ST_TRACE(ctx_.trace(), ctx_.sim().now(), kLogout, user.value(), 0,
            graceful ? 1 : 0);
@@ -184,14 +183,8 @@ void SessionDriver::saveState(snapshot::Writer& w) const {
     w.u64(state.sessionsDone);
     w.u64(state.videosThisSession);
     w.u32(state.currentVideo.value());
-    w.boolean(state.online);
   }
-  for (const Rng& rng : userRngs_) {
-    const Rng::State state = rng.state();
-    for (const std::uint64_t word : state.s) w.u64(word);
-    w.f64(state.spareNormal);
-    w.boolean(state.hasSpareNormal);
-  }
+  for (const Rng& rng : userRngs_) snapshot::saveRngState(w, rng.state());
   w.u64(usersCompleted_);
   w.u64(sessionsCompleted_);
   w.u64(videosWatched_);
@@ -199,7 +192,7 @@ void SessionDriver::saveState(snapshot::Writer& w) const {
 
 bool SessionDriver::loadState(snapshot::Reader& r) {
   r.section(0x53534553, "session driver");
-  const std::size_t userCount = r.count(8 + 8 + 4 + 1);
+  const std::size_t userCount = r.count(8 + 8 + 4);
   if (!r.ok() || userCount != users_.size()) {
     r.fail("session driver user count mismatch");
     return false;
@@ -209,14 +202,9 @@ bool SessionDriver::loadState(snapshot::Reader& r) {
     state.sessionsDone = r.u64();
     state.videosThisSession = r.u64();
     state.currentVideo = VideoId{r.u32()};
-    state.online = r.boolean();
   }
   std::vector<Rng::State> rngs(userCount);
-  for (Rng::State& state : rngs) {
-    for (std::uint64_t& word : state.s) word = r.u64();
-    state.spareNormal = r.f64();
-    state.hasSpareNormal = r.boolean();
-  }
+  for (Rng::State& state : rngs) state = snapshot::loadRngState(r);
   const std::uint64_t usersCompleted = r.u64();
   const std::uint64_t sessionsCompleted = r.u64();
   const std::uint64_t videosWatched = r.u64();

@@ -60,8 +60,9 @@ class SessionDriver final : public sim::EventFactory {
   [[nodiscard]] std::uint64_t videosWatched() const { return videosWatched_; }
 
   // Serializes per-user progress, the churn RNG streams, and the completion
-  // tallies. Pending login / playback-done events live in the simulator
-  // queue and are rebuilt from their tags on restore.
+  // tallies. Presence is the context's (SystemContext::isOnline). Pending
+  // login / playback-done events live in the simulator queue and are
+  // rebuilt from their tags on restore.
   void saveState(snapshot::Writer& w) const;
   bool loadState(snapshot::Reader& r);
 
@@ -70,7 +71,6 @@ class SessionDriver final : public sim::EventFactory {
     std::size_t sessionsDone = 0;
     std::size_t videosThisSession = 0;
     VideoId currentVideo = VideoId::invalid();
-    bool online = false;
   };
 
   void login(UserId user);

@@ -188,7 +188,6 @@ void TransferManager::beginFirstChunk(WatchId id, UserId provider,
     phaseTimeout(id);
     return;
   }
-  watchFlows_[watch.flow] = id;
   // Hedged requests (overload `hedge=`): a peer-sourced first chunk gets a
   // sim-time response deadline; if it has not landed by then, hedgeFire
   // abandons the laggard and re-requests elsewhere. Server fallback flows
@@ -269,9 +268,7 @@ bool TransferManager::startSegmentFlow(WatchId id, std::size_t segmentIndex,
   segment.flow = ctx_.network().flows().startFlow(
       sourceEndpoint(provider), ctx_.endpointOf(watch.user), remaining,
       options);
-  if (!segment.flow.valid()) return false;
-  watchFlows_[segment.flow] = id;
-  return true;
+  return segment.flow.valid();
 }
 
 void TransferManager::creditPartialFirstChunk(Watch& watch,
@@ -309,13 +306,11 @@ void TransferManager::creditPartialSegment(const Watch& watch,
 
 void TransferManager::cancelWatchFlows(Watch& watch) {
   if (watch.flow.valid()) {
-    watchFlows_.erase(watch.flow);
     ctx_.network().flows().cancelFlow(watch.flow);
     watch.flow = FlowId::invalid();
   }
   for (Segment& segment : watch.segments) {
     if (segment.flow.valid()) {
-      watchFlows_.erase(segment.flow);
       ctx_.network().flows().cancelFlow(segment.flow);
       segment.flow = FlowId::invalid();
     }
@@ -326,10 +321,6 @@ void TransferManager::eraseWatch(WatchId id) {
   Watch* watch = watches_.find(id);
   assert(watch != nullptr);
   const UserId user = watch->user;
-  if (watch->flow.valid()) watchFlows_.erase(watch->flow);
-  for (const Segment& segment : watch->segments) {
-    if (segment.flow.valid()) watchFlows_.erase(segment.flow);
-  }
   ctx_.sim().cancel(watch->timeout);
   ctx_.sim().cancel(watch->hedge);
   watches_.erase(id);
@@ -349,7 +340,6 @@ void TransferManager::firstChunkComplete(WatchId id) {
   Watch* found = watches_.find(id);
   assert(found != nullptr);
   Watch& watch = *found;
-  watchFlows_.erase(watch.flow);
   watch.flow = FlowId::invalid();
 
   if (1 > watch.phaseCredited) {
@@ -383,7 +373,6 @@ void TransferManager::segmentComplete(WatchId id, std::size_t segmentIndex) {
   assert(found != nullptr);
   Watch& watch = *found;
   Segment& segment = watch.segments[segmentIndex];
-  watchFlows_.erase(segment.flow);
   segment.flow = FlowId::invalid();
   segment.done = true;
   if (segment.chunks > segment.credited) {
@@ -448,7 +437,6 @@ void TransferManager::hedgeFire(WatchId id) {
   // circuit, and re-request the remaining bytes from a surviving extra
   // provider or the origin server.
   const UserId slow = watch.provider;
-  watchFlows_.erase(watch.flow);
   ctx_.network().flows().cancelFlow(watch.flow);
   watch.flow = FlowId::invalid();
   if (hedges_ != nullptr) hedges_->inc();
@@ -555,8 +543,27 @@ void TransferManager::onUserOffline(UserId user) {
   ctx_.network().flows().dropEndpointFlows(ctx_.endpointOf(user));
 }
 
-void TransferManager::onFlowAborted(FlowId flow, std::uint64_t bytesDone) {
-  failOverToServer(flow, bytesDone);
+void TransferManager::onFlowAborted(FlowId flow, std::uint64_t bytesDone,
+                                    const sim::EventTag& completionTag) {
+  if (completionTag.component ==
+      static_cast<std::uint8_t>(sim::Component::kTransfer)) {
+    failOverToServer(flow, bytesDone, completionTag);
+  }
+}
+
+bool TransferManager::onRestoredCompletion(const sim::EventTag& tag) const {
+  const Watch* watch = watches_.find(tag.a);
+  switch (tag.kind) {
+    case kFirstChunkEvent:
+      return watch != nullptr;
+    case kSegmentEvent:
+      return watch != nullptr && tag.b < watch->segments.size();
+    case kPrefetchEvent:
+      return tag.a <= ~std::uint32_t{0} &&
+             prefetches_.count(FlowId{static_cast<std::uint32_t>(tag.a)}) != 0;
+    default:
+      return false;
+  }
 }
 
 UserId TransferManager::pickFailoverProvider(const Watch& watch,
@@ -568,27 +575,28 @@ UserId TransferManager::pickFailoverProvider(const Watch& watch,
   return UserId::invalid();
 }
 
-void TransferManager::failOverToServer(FlowId flow, std::uint64_t bytesDone) {
-  const auto prefetchIt = prefetches_.find(flow);
-  if (prefetchIt != prefetches_.end()) {
-    const Prefetch prefetch = std::move(prefetchIt->second);
-    prefetches_.erase(prefetchIt);
+void TransferManager::failOverToServer(FlowId flow, std::uint64_t bytesDone,
+                                       const sim::EventTag& completionTag) {
+  if (completionTag.kind == kPrefetchEvent) {
+    const auto it = prefetches_.find(flow);
+    if (it == prefetches_.end()) return;
+    const Prefetch prefetch = it->second;
+    prefetches_.erase(it);
     forgetPrefetch(prefetch);
     if (prefetch.provider.valid()) {
       ctx_.reportNeighborFailure(prefetch.user, prefetch.provider);
     }
     return;
   }
-  const auto flowIt = watchFlows_.find(flow);
-  if (flowIt == watchFlows_.end()) return;
-  const WatchId id = flowIt->second;
-  watchFlows_.erase(flowIt);
-  Watch& watch = *watches_.find(id);
+  const WatchId id = completionTag.a;
+  Watch* found = watches_.find(id);
+  if (found == nullptr) return;  // the watch ended in this abort batch
+  Watch& watch = *found;
 
   // The source crashed mid-transfer: credit what it delivered, then restart
   // the remainder from a surviving extra provider if one is known, else
   // from the origin server.
-  if (watch.phase == Phase::kFirstChunk && watch.flow == flow) {
+  if (completionTag.kind == kFirstChunkEvent && watch.flow == flow) {
     const UserId failed = watch.provider;
     watch.flow = FlowId::invalid();
     creditPartialFirstChunk(watch, bytesDone);
@@ -604,18 +612,19 @@ void TransferManager::failOverToServer(FlowId flow, std::uint64_t bytesDone) {
   }
 
   // Body segment: restart the affected stripe.
-  for (std::size_t i = 0; i < watch.segments.size(); ++i) {
-    Segment& segment = watch.segments[i];
-    if (segment.flow != flow) continue;
-    const UserId failed = segment.provider;
-    segment.flow = FlowId::invalid();
-    creditPartialSegment(watch, segment, bytesDone);
-    ctx_.metrics().countTransferResourced();
-    if (failed.valid()) ctx_.reportNeighborFailure(watch.user, failed);
-    if (!startSegmentFlow(id, i, pickFailoverProvider(watch, failed))) {
-      phaseTimeout(id);  // shed: abandon the watch
-    }
+  const std::size_t index = completionTag.b;
+  if (completionTag.kind != kSegmentEvent || index >= watch.segments.size() ||
+      watch.segments[index].flow != flow) {
     return;
+  }
+  Segment& segment = watch.segments[index];
+  const UserId failed = segment.provider;
+  segment.flow = FlowId::invalid();
+  creditPartialSegment(watch, segment, bytesDone);
+  ctx_.metrics().countTransferResourced();
+  if (failed.valid()) ctx_.reportNeighborFailure(watch.user, failed);
+  if (!startSegmentFlow(id, index, pickFailoverProvider(watch, failed))) {
+    phaseTimeout(id);  // shed: abandon the watch
   }
 }
 
@@ -653,11 +662,6 @@ void TransferManager::saveState(snapshot::Writer& w) const {
     w.u64(list.size());
     for (const WatchId id : list) w.u64(id);
   }
-  w.u64(watchFlows_.size());
-  for (const auto& [flow, id] : watchFlows_) {
-    w.u32(flow.value());
-    w.u64(id);
-  }
   w.u64(prefetches_.size());
   for (const auto& [flow, prefetch] : prefetches_) {
     w.u32(flow.value());
@@ -666,8 +670,6 @@ void TransferManager::saveState(snapshot::Writer& w) const {
     w.u32(prefetch.provider.value());
     w.boolean(prefetch.fromPeer);
   }
-  w.u64(prefetchInFlight_.size());
-  for (const std::uint32_t inFlight : prefetchInFlight_) w.u32(inFlight);
 }
 
 bool TransferManager::loadState(snapshot::Reader& r) {
@@ -730,20 +732,9 @@ bool TransferManager::loadState(snapshot::Reader& r) {
       }
     }
   }
-  const std::size_t flowCount = r.count(4 + 8);
-  watchFlows_.clear();
-  for (std::size_t i = 0; i < flowCount; ++i) {
-    const FlowId flow{r.u32()};
-    const WatchId id = r.u64();
-    if (!r.ok()) return false;
-    if (watches_.find(id) == nullptr) {
-      r.fail("flow map references a stale watch id");
-      return false;
-    }
-    watchFlows_.emplace(flow, id);
-  }
   const std::size_t prefetchCount = r.count(4 + 4 + 4 + 4 + 1);
   prefetches_.clear();
+  std::fill(prefetchInFlight_.begin(), prefetchInFlight_.end(), 0);
   for (std::size_t i = 0; i < prefetchCount; ++i) {
     const FlowId flow{r.u32()};
     Prefetch prefetch;
@@ -753,13 +744,8 @@ bool TransferManager::loadState(snapshot::Reader& r) {
     prefetch.fromPeer = r.boolean();
     if (!r.ok()) return false;
     prefetches_.emplace(flow, prefetch);
+    ++prefetchInFlight_[prefetch.user.index()];
   }
-  const std::size_t inFlightCount = r.count(4);
-  if (!r.ok() || inFlightCount != prefetchInFlight_.size()) {
-    r.fail("prefetch tally count mismatch");
-    return false;
-  }
-  for (std::uint32_t& inFlight : prefetchInFlight_) inFlight = r.u32();
   return r.ok();
 }
 

@@ -69,10 +69,17 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
 
   // FlowObserver: a provider endpoint dropped out from under `flow` (node
   // departure); credit what it delivered and restart the remainder from a
-  // surviving extra provider or the origin server. Registered for the whole
-  // manager lifetime — TransferManager owns every flow whose abort matters
-  // here, and aborts of flows it doesn't know are ignored by lookup.
-  void onFlowAborted(FlowId flow, std::uint64_t bytesDone) override;
+  // surviving extra provider or the origin server. The flow's completion
+  // tag names its owner (a prefetch, or a watch's first chunk or stripe);
+  // aborts of flows with another component's tag, or whose owner has moved
+  // on to a newer flow, are ignored.
+  void onFlowAborted(FlowId flow, std::uint64_t bytesDone,
+                     const sim::EventTag& completionTag) override;
+  // Restore check for a flow's completion tag: a first-chunk or stripe tag
+  // must name a live watch (and a stripe inside it), a prefetch tag a live
+  // prefetch.
+  [[nodiscard]] bool onRestoredCompletion(
+      const sim::EventTag& tag) const override;
 
   struct WatchRequest {
     UserId user;
@@ -163,9 +170,10 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
                           UserId owner = UserId::invalid());
 
   // Checkpoint/restore: the watch arena (whole slot pool, so outstanding
-  // WatchIds stay stable), per-user watch lists, flow-to-watch maps,
-  // prefetch records, and the backpressure tallies. Watch timeout handles
-  // are re-stored by onRestored() while the simulator queue loads.
+  // WatchIds stay stable), per-user watch lists (creation order, which no
+  // record holds) and the prefetch records; the per-user prefetch tallies
+  // are recounted from the records. Watch timeout handles are re-stored by
+  // onRestored() while the simulator queue loads.
   void saveState(snapshot::Writer& w) const;
   bool loadState(snapshot::Reader& r);
 
@@ -241,7 +249,8 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   // source that just failed); invalid id = no survivor, use the server.
   [[nodiscard]] UserId pickFailoverProvider(const Watch& watch,
                                             UserId failed) const;
-  void failOverToServer(FlowId flow, std::uint64_t bytesDone);
+  void failOverToServer(FlowId flow, std::uint64_t bytesDone,
+                        const sim::EventTag& completionTag);
   void cancelWatchFlows(Watch& watch);
   void eraseWatch(WatchId id);
   // The watch rules for the watches filed under `user` (both audits).
@@ -264,11 +273,9 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   SlotPool<Watch> watches_;
   // Indexed by user; a user has at most a handful of concurrent watches.
   std::vector<std::vector<WatchId>> userWatches_;
-  // Maps a flow to its watch; segment flows are found by scanning the
-  // watch's (small) segment list. Flow ids are minted by the flow engine.
-  // Ordered maps: iteration feeds the offline sweep and the snapshot, so
-  // both are canonical by flow id.
-  std::map<FlowId, WatchId> watchFlows_;
+  // A watch's flows are found through their completion tags. Ordered by
+  // flow id: iteration feeds the offline sweep and the snapshot, so both
+  // are canonical.
   std::map<FlowId, Prefetch> prefetches_;
   // In-flight prefetches per user, for the credit-based backpressure knob.
   // Maintained unconditionally (pure bookkeeping); consulted only when the

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flow_observer.h"
@@ -245,7 +246,8 @@ TEST_F(FlowBatchTest, ObserverMayStartFailoverFlowsDuringTheDropBatch) {
       flows.addObserver(this);
     }
     ~Failover() override { flows.removeObserver(this); }
-    void onFlowAborted(FlowId, std::uint64_t bytesDone) override {
+    void onFlowAborted(FlowId, std::uint64_t bytesDone,
+                       const sim::EventTag&) override {
       replacement =
           flows.startFlow(backup, client, 1'000'000 - bytesDone);
     }
@@ -406,6 +408,99 @@ TEST_F(FlowFlipTest, SaveRightAfterAFlipRestoresAndResavesIdentically) {
 
   // The restored network finishes the flow at the very same microsecond.
   EXPECT_EQ(flipBackAndFinish(sim, flows), flipBackAndFinish(sim_, flows_));
+}
+
+// A snapshot holds no membership list; restore rebuilds them (DESIGN.md
+// §12). This network fills the two kinds of list whose order is not join
+// order: two prefetches at a 3 Mbit/s origin are paused in the reverse of
+// their activation order (the floor's victim is the most recently
+// activated), and two flows wait behind a source's single upload slot.
+class FlowRestoreTest : public ::testing::Test {
+ protected:
+  FlowRestoreTest() : flows_(sim_) { configure(flows_); }
+
+  static void configure(FlowNetwork& flows) {
+    flows.addEndpoint(kOrigin, {3e6, 8e6});
+    flows.addEndpoint(kSlotted, {2e6, 8e6});
+    for (std::uint32_t i = 2; i < 9; ++i) {
+      flows.addEndpoint(client(i), {8e6, 8e6});
+    }
+    flows.setPlaybackFloor(1.2e6);
+    flows.setUploadConcurrencyLimit(kSlotted, 1);
+  }
+  static EndpointId client(std::uint32_t i) { return EndpointId{i}; }
+
+  // Flow ids in completion order with their times, and the paused
+  // prefetches in the order they resumed.
+  struct Replay final : FlowObserver {
+    Replay(sim::Simulator& sim, FlowNetwork& flows, std::vector<FlowId> paused)
+        : sim(sim), flows(flows), paused(std::move(paused)) {
+      flows.addObserver(this);
+    }
+    ~Replay() override { flows.removeObserver(this); }
+    void onFlowCompleted(FlowId id) override {
+      completions.emplace_back(sim.now(), id.value());
+      for (FlowId& flow : paused) {
+        if (flow.valid() && !flows.flowPaused(flow)) {
+          resumes.push_back(flow.value());
+          flow = FlowId::invalid();
+        }
+      }
+    }
+    sim::Simulator& sim;
+    FlowNetwork& flows;
+    std::vector<FlowId> paused;
+    std::vector<std::pair<sim::SimTime, std::uint32_t>> completions;
+    std::vector<std::uint32_t> resumes;
+  };
+
+  static constexpr EndpointId kOrigin{0};
+  static constexpr EndpointId kSlotted{1};
+  sim::Simulator sim_;
+  FlowNetwork flows_;
+};
+
+TEST_F(FlowRestoreTest, PausedAndQueuedFlowsKeepTheirOrderAcrossARestore) {
+  FlowOptions prefetch;
+  prefetch.flowClass = FlowClass::kPrefetch;
+  const FlowId first = flows_.startFlow(kOrigin, client(2), 400'000, prefetch);
+  const FlowId second = flows_.startFlow(kOrigin, client(3), 400'000, prefetch);
+  // Each playback start drops the origin's share below the floor once.
+  flows_.startFlow(kOrigin, client(4), 100'000);
+  EXPECT_TRUE(flows_.flowPaused(second));
+  flows_.startFlow(kOrigin, client(5), 200'000);
+  EXPECT_TRUE(flows_.flowPaused(first));
+  flows_.startFlow(kSlotted, client(6), 300'000);
+  flows_.startFlow(kSlotted, client(7), 100'000);
+  flows_.startFlow(kSlotted, client(8), 200'000);
+  EXPECT_EQ(flows_.queuedUploads(kSlotted), 2u);
+  sim_.runUntil(sim::fromSeconds(0.2));
+
+  std::string error;
+  snapshot::Writer saved;
+  ASSERT_TRUE(flows_.saveState(saved, &error)) << error;
+  ASSERT_TRUE(sim_.saveState(saved, &error)) << error;
+  sim::Simulator sim;
+  FlowNetwork flows(sim);
+  configure(flows);
+  snapshot::Reader r = st::testing::readerOf(saved);
+  ASSERT_TRUE(flows.loadState(r)) << r.error();
+  ASSERT_TRUE(sim.loadState(r)) << r.error();
+  snapshot::Writer resaved;
+  ASSERT_TRUE(flows.saveState(resaved, &error)) << error;
+  ASSERT_TRUE(sim.saveState(resaved, &error)) << error;
+  EXPECT_EQ(saved.body(), resaved.body());
+
+  Replay original(sim_, flows_, {first, second});
+  Replay restored(sim, flows, {first, second});
+  sim_.run();
+  sim.run();
+  // Paused first, resumed first: FIFO within the prefetch class.
+  EXPECT_EQ(original.resumes,
+            (std::vector<std::uint32_t>{second.value(), first.value()}));
+  EXPECT_EQ(restored.resumes, original.resumes);
+  EXPECT_EQ(original.completions.size(), 7u);
+  EXPECT_EQ(restored.completions, original.completions);
 }
 
 }  // namespace

@@ -501,7 +501,8 @@ struct RecordedFlowNetwork final : FlowNetwork, FlowObserver {
     addObserver(this);
   }
   void onFlowShed(EndpointId, EndpointId, FlowClass) override { ++out.sheds; }
-  void onFlowAborted(FlowId id, std::uint64_t bytesDone) override {
+  void onFlowAborted(FlowId id, std::uint64_t bytesDone,
+                     const sim::EventTag&) override {
     out.aborts.emplace_back(id.value(), bytesDone);
   }
   void onFlowCompleted(FlowId id) override {

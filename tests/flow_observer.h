@@ -41,7 +41,8 @@ class TestFlowObserver final : public FlowObserver {
                   FlowClass flowClass) override {
     shed.push_back({src, dst, flowClass});
   }
-  void onFlowAborted(FlowId flow, std::uint64_t bytesDone) override {
+  void onFlowAborted(FlowId flow, std::uint64_t bytesDone,
+                     const sim::EventTag&) override {
     aborts.push_back({flow, bytesDone});
   }
   void onFlowCompleted(FlowId flow) override {

@@ -955,6 +955,11 @@ TEST(SnapshotBodyIdFuzz, CachedVideo) {
 // horizon, where the flow solver uses them.
 namespace snapshot_fuzz {
 
+// A flow record: id, src, dst (u32 each), placement (u8), finish tag,
+// join sequence, total bytes (u64 each), class, queued, paused (u8 each)
+// and the 40-byte completion tag.
+constexpr std::size_t kFlowRecordBytes = 4 * 3 + 1 + 8 * 3 + 3 + 40;
+
 enum class FlowGroupField : std::uint8_t {
   kPlacePending,      // an active flow's placement := the pending mark
   kPlaceDropped,      // an active flow's placement := none
@@ -963,10 +968,6 @@ enum class FlowGroupField : std::uint8_t {
 };
 
 void expectFlowGroupRefused(FlowGroupField field, const std::string& what) {
-  // A flow record: id, src, dst (u32 each), placement (u8), finish tag,
-  // join sequence, total bytes (u64 each), class, queued, paused (u8 each)
-  // and the 40-byte completion tag.
-  constexpr std::size_t kRecordBytes = 4 * 3 + 1 + 8 * 3 + 3 + 40;
   std::vector<std::uint8_t> mutant = donorBytes();
   Cursor c = Cursor::atSection(mutant, 0x574f4c46);  // "FLOW"
   const std::uint64_t flows = c.read(8);
@@ -980,15 +981,14 @@ void expectFlowGroupRefused(FlowGroupField field, const std::string& what) {
       field == FlowGroupField::kPlaceDropped) {
     std::size_t place = 0;
     for (std::uint64_t i = 0; i < flows && place == 0; ++i) {
-      const std::size_t at = records + i * kRecordBytes + 12;
+      const std::size_t at = records + i * kFlowRecordBytes + 12;
       if (mutant.at(at) != 0) place = at;
     }
     ASSERT_NE(place, 0u) << "donor holds no flow in a group";
     mutant[place] = field == FlowGroupField::kPlacePending ? 3 : 0;
   } else {
-    c.skip(flows * kRecordBytes);
+    c.skip(flows * kFlowRecordBytes);
     c.skip(8);                                  // endpoint count
-    for (int list = 0; list < 6; ++list) c.skipList(4);
     const std::size_t clock = c.at;             // v0, t0, s0, t1
     if (field == FlowGroupField::kNegativeShare) {
       write(clock + 16, std::bit_cast<std::uint64_t>(-1.0));
@@ -1030,6 +1030,82 @@ TEST(SnapshotFlowGroupFuzz, GroupShareChangeBeforeItsBase) {
   snapshot_fuzz::expectFlowGroupRefused(
       snapshot_fuzz::FlowGroupField::kChangeBeforeBase,
       "flow group clock out of range");
+}
+
+// The FLOW section's completion tags: the last byte of a flow invokes its
+// tag, so a restored tag must name live state like a queued one. The tag
+// of the first stripe flow (kind 2, a = watch id, b = stripe index) is
+// rewritten, and the restore must fail naming the tag's component and
+// kind. A restore that wrongly succeeds runs on to the horizon, where the
+// completion fires.
+namespace snapshot_fuzz {
+
+enum class FlowTagRewrite : std::uint8_t {
+  kUnknownComponent,  // component := 0xee
+  kDeadWatch,  // a first-chunk tag (kind 1) of a watch no pool entry holds
+  kStripePastWatch,  // stripe index := 1,000,000
+};
+
+void expectFlowTagRefused(FlowTagRewrite rewrite) {
+  // The file's tag fields are little-endian in EventTag's member order, so
+  // on a little-endian host the 40 bytes are the struct's bytes.
+  static_assert(std::endian::native == std::endian::little);
+  std::vector<std::uint8_t> mutant = donorBytes();
+  Cursor c = Cursor::atSection(mutant, 0x574f4c46);  // "FLOW"
+  const std::uint64_t flows = c.read(8);
+  sim::EventTag tag;
+  std::size_t at = 0;
+  for (std::uint64_t i = 0; i < flows && at == 0; ++i) {
+    const std::size_t offset = c.at + (i + 1) * kFlowRecordBytes - sizeof tag;
+    std::memcpy(&tag, mutant.data() + offset, sizeof tag);
+    if (tag.component == static_cast<std::uint8_t>(sim::Component::kTransfer) &&
+        tag.kind == vod::TransferManager::kSegmentEvent) {
+      at = offset;
+    }
+  }
+  ASSERT_NE(at, 0u) << "donor holds no stripe flow";
+  switch (rewrite) {
+    case FlowTagRewrite::kUnknownComponent:
+      tag.component = 0xee;
+      break;
+    case FlowTagRewrite::kDeadWatch:
+      tag.kind = vod::TransferManager::kFirstChunkEvent;
+      tag.a ^= 0x5a5a0000;
+      break;
+    case FlowTagRewrite::kStripePastWatch:
+      tag.b = 1'000'000;
+      break;
+  }
+  std::memcpy(mutant.data() + at, &tag, sizeof tag);
+  fixupHeader(&mutant);
+
+  const exp::ExperimentConfig config = tinyConfig();
+  const auto run = st::testing::makeRun(config, exp::SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  std::string error;
+  const bool ok = restoreBytes(*run, mutant, &error);
+  if (ok) run->simulator().runUntil(config.duration);
+  EXPECT_FALSE(ok);
+  const std::string named = "(component " + std::to_string(tag.component) +
+                            ", kind " + std::to_string(tag.kind) + ")";
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+}
+
+}  // namespace snapshot_fuzz
+
+TEST(SnapshotFlowTagFuzz, UnknownComponent) {
+  snapshot_fuzz::expectFlowTagRefused(
+      snapshot_fuzz::FlowTagRewrite::kUnknownComponent);
+}
+
+TEST(SnapshotFlowTagFuzz, FirstChunkOfADeadWatch) {
+  snapshot_fuzz::expectFlowTagRefused(
+      snapshot_fuzz::FlowTagRewrite::kDeadWatch);
+}
+
+TEST(SnapshotFlowTagFuzz, StripePastItsWatch) {
+  snapshot_fuzz::expectFlowTagRefused(
+      snapshot_fuzz::FlowTagRewrite::kStripePastWatch);
 }
 
 // Payloads in the CTXT pool carry id lists that the consuming handler

@@ -438,5 +438,17 @@ TEST(GoldenSnapshot, V2FileIsRefusedByVersion) {
   EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
+// Version 3 saved each endpoint's membership lists, the transfer
+// manager's flow-to-watch map and prefetch tallies, and each user's online
+// flag beside the records they derive from; a version-3 file is refused by
+// its header too.
+TEST(GoldenSnapshot, V3FileIsRefusedByVersion) {
+  const auto run = makeRun(goldenConfig(), SystemKind::kSocialTube);
+  ASSERT_TRUE(run);
+  std::string error;
+  EXPECT_FALSE(run->restore(goldenPath(3), &error));
+  EXPECT_NE(error.find("version 3"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace st::exp
